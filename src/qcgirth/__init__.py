@@ -60,15 +60,7 @@ from .search import (
     girth6_odd_L_explicit,
     min_lifting_factor,
 )
-from .zmod import (
-    Permutation,
-    Residue,
-    count_derangements,
-    element_order,
-    is_fixed_point_free,
-    mod_add,
-    mod_sub,
-)
+from .zmod import Permutation
 
 __all__ = [
     "CaseClassification",
@@ -79,7 +71,6 @@ __all__ = [
     "MappingCensus",
     "ParityCheckMatrix",
     "Permutation",
-    "Residue",
     "SearchResult",
     "ShiftMatrix",
     "StructureKind",
@@ -92,10 +83,8 @@ __all__ = [
     "compatible_pairs",
     "count_4cycles",
     "count_4cycles_graph",
-    "count_derangements",
     "cpm",
     "difference_sequence",
-    "element_order",
     "enumerate_complete_mappings",
     "exists_code",
     "export_alist",
@@ -110,11 +99,8 @@ __all__ = [
     "import_shift_matrix",
     "is_complete_mapping",
     "is_complete_mapping_of",
-    "is_fixed_point_free",
     "lift",
     "min_lifting_factor",
-    "mod_add",
-    "mod_sub",
     "normalize",
     "partition_case_bound",
     "product_mapping",

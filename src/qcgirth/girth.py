@@ -243,7 +243,10 @@ def girth_from_shifts(p: ShiftMatrix, cap: int = 12) -> GirthReport:
             continue
         total, first = _shift_tuples(p, m, count_all=True)
         girth = 2 * m
-        assert total * n % girth == 0, "rooted-tuple count must split into cycles"
+        if total * n % girth:
+            raise RuntimeError(
+                f"{total * n} rooted tuples do not split into {girth}-cycles"
+            )
         jseq, lseq = first
         return GirthReport(
             girth=girth,

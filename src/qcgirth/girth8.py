@@ -22,22 +22,13 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 from typing import Optional
 
 from .lifting import ShiftMatrix
-
-
-class VerificationBudgetError(RuntimeError):
-    """Sweep ran out of node budget; carries the partial report."""
-
-    def __init__(self, partial: Girth8BoundReport):
-        super().__init__(
-            f"node budget exhausted during sweep at l_prime={partial.l_prime}"
-        )
-        self.partial = partial
+from .mappings import _map_branches
 
 
 @dataclass(frozen=True)
@@ -385,7 +376,6 @@ class Girth8BoundReport:
     n_max: int
     bound: int
     rows: tuple[Girth8BoundRow, ...]
-    complete: bool
 
     @property
     def total_violations(self) -> int:
@@ -397,19 +387,23 @@ class Girth8BoundReport:
 
 
 def _sweep_one_n(
-    l_prime: int, n: int, first_header: Optional[int] = None
-) -> Girth8BoundRow:
-    """Enumerate canonical tables at one N: ascending distinct nonzero column
-    headers (column-permutation symmetry), all ordered row headers."""
+    l_prime: int, branch: tuple[int, int]
+) -> tuple[int, int, int, list[tuple[int, ...]]]:
+    """Enumerate the canonical tables at one N whose smallest column header
+    is first_header, for branch = (N, first_header): ascending distinct
+    nonzero column headers (column-permutation symmetry), all ordered row
+    headers.
+
+    Returns (N, valid tables, hypothesis tables, violations).
+    """
+    n, first_header = branch
     bound = 3 * l_prime - 1
     valid = 0
     hyp = 0
     violations: list[tuple[int, ...]] = []
-    values = range(1, n)
-    for cols in combinations(values, l_prime):
-        if first_header is not None and cols[0] != first_header:
-            continue
-        rest = [v for v in values if v not in cols]
+    for tail in combinations(range(first_header + 1, n), l_prime - 1):
+        cols = (first_header,) + tail
+        rest = [v for v in range(1, n) if v not in cols]
         for rows_h in permutations(rest, l_prime):
             t = Girth8Table(modulus=n, col_headers=cols, row_headers=rows_h)
             if not validate_g8_table(t).valid:
@@ -420,23 +414,7 @@ def _sweep_one_n(
                 hyp += 1
                 if n < bound:
                     violations.append((n,) + cols + rows_h)
-    return Girth8BoundRow(
-        n=n, valid_tables=valid, hypothesis_tables=hyp, violations=tuple(violations)
-    )
-
-
-def _sweep_branch(args: tuple[int, int, int]) -> Girth8BoundRow:
-    l_prime, n, first_header = args
-    return _sweep_one_n(l_prime, n, first_header)
-
-
-def _merge_rows(parts: list[Girth8BoundRow]) -> Girth8BoundRow:
-    return Girth8BoundRow(
-        n=parts[0].n,
-        valid_tables=sum(p.valid_tables for p in parts),
-        hypothesis_tables=sum(p.hypothesis_tables for p in parts),
-        violations=tuple(v for p in parts for v in p.violations),
-    )
+    return n, valid, hyp, violations
 
 
 def verify_girth8_bound(
@@ -451,8 +429,9 @@ def verify_girth8_bound(
     Every valid table meeting the intersection hypothesis must sit at
     N >= 3L'-1; violations are collected, not raised.  The per-N rows also
     expose the unconstrained valid-table counts for the conjecture scan.
-    Deterministic for any worker count: sweeps fan out over the smallest
-    column header and merge in ascending order.
+    The sweep runs as one branch per (N, smallest column header); workers
+    fans the branches out over processes, and the merge in ascending order
+    makes the report identical for every worker count.
     """
     if l_prime < 2:
         raise ValueError(f"need L' >= 2, got {l_prime}")
@@ -460,22 +439,23 @@ def verify_girth8_bound(
         n_min = l_prime + 1
     if n_min > n_max:
         raise ValueError(f"empty N range [{n_min}, {n_max}]")
-    rows: list[Girth8BoundRow] = []
-    for n in range(n_min, n_max + 1):
-        if workers <= 1:
-            rows.append(_sweep_one_n(l_prime, n))
-        else:
-            args = [(l_prime, n, first) for first in range(1, n)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_sweep_branch, args))
-            rows.append(_merge_rows(parts))
+    ns = range(n_min, n_max + 1)
+    totals = {n: (0, 0, []) for n in ns}
+    branches = [(n, first) for n in ns for first in range(1, n - l_prime + 1)]
+    for n, valid, hyp, violations in _map_branches(
+        partial(_sweep_one_n, l_prime), branches, workers
+    ):
+        t_valid, t_hyp, t_violations = totals[n]
+        totals[n] = (t_valid + valid, t_hyp + hyp, t_violations + violations)
     return Girth8BoundReport(
         l_prime=l_prime,
         n_min=n_min,
         n_max=n_max,
         bound=3 * l_prime - 1,
-        rows=tuple(rows),
-        complete=True,
+        rows=tuple(
+            Girth8BoundRow(n, valid, hyp, tuple(violations))
+            for n, (valid, hyp, violations) in totals.items()
+        ),
     )
 
 
@@ -487,7 +467,7 @@ def export_girth8_bound_report(report: Girth8BoundReport) -> str:
         f"n-min {report.n_min}",
         f"n-max {report.n_max}",
         f"bound {report.bound}",
-        f"complete {'true' if report.complete else 'false'}",
+        "complete true",
     ]
     for row in report.rows:
         lines.append(

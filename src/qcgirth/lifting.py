@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .mappings import CompleteMapping
-from .zmod import Permutation, Residue
+from .zmod import Permutation
 
 
 class AlistParseError(ValueError):
@@ -29,8 +29,7 @@ class AlistParseError(ValueError):
 class ShiftMatrix:
     """J x L matrix of shift values mod N, stored row-major as plain ints.
 
-    Entries are normalized into [0, N) at construction; residue() exposes
-    a typed view of a single entry.
+    Entries are normalized into [0, N) at construction.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -57,9 +56,6 @@ class ShiftMatrix:
 
     def __getitem__(self, j: int) -> tuple[int, ...]:
         return self.entries[j]
-
-    def residue(self, j: int, l: int) -> Residue:
-        return Residue(self.entries[j][l], self.lifting_factor)
 
     def is_canonical(self) -> bool:
         """True when the first row and first column are all zero."""
@@ -143,9 +139,9 @@ class GirthReport:
                     raise ValueError("witness must alternate v/c starting at v")
 
 
-def cpm(shift: Union[int, Residue], n: int) -> frozenset[tuple[int, int]]:
+def cpm(shift: int, n: int) -> frozenset[tuple[int, int]]:
     """One-positions of the N x N circulant permutation block for a shift."""
-    s = int(shift) % n
+    s = shift % n
     return frozenset((r, (r + s) % n) for r in range(n))
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .zmod import Permutation, Residue
+from .zmod import Permutation
 
 DEFAULT_WITNESS_CAP = 10**6
 
@@ -70,15 +71,11 @@ class MappingCensus:
     truncated: bool
     nodes: int
 
-    @property
-    def exhaustive(self) -> bool:
-        return True  # partial censuses only ever travel inside CensusBudgetError
 
-
-def difference_sequence(p: Permutation) -> tuple[Residue, ...]:
+def difference_sequence(p: Permutation) -> tuple[int, ...]:
     """The sequence (p(i) - i mod N) for i = 0..N-1."""
     n = p.modulus
-    return tuple(Residue(p.images[i] - i, n) for i in range(n))
+    return tuple((p.images[i] - i) % n for i in range(n))
 
 
 def is_complete_mapping(p: Permutation) -> bool:
@@ -89,20 +86,29 @@ def is_complete_mapping(p: Permutation) -> bool:
     return len({(p.images[i] - i) % n for i in range(n)}) == n
 
 
-def _enumerate_branch(
-    n: int, first_image: Optional[int], witness_cap: int, max_nodes: Optional[int]
-) -> tuple[int, list[tuple[int, ...]], int, bool]:
-    """Backtracking census over images fixed at position 0 (and optionally 1).
+def _map_branches(fn: Callable, branches: Iterable, workers: int) -> Iterator:
+    """Yield fn(branch) for each branch in order: in this process when
+    workers <= 1, else from one pool of that many processes."""
+    if workers <= 1:
+        yield from map(fn, branches)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, branches)
 
-    Returns (count, witnesses, nodes, budget_hit).  Images are assigned in
-    position order with candidates ascending, so witnesses come out in
-    lexicographic order.
+
+def _enumerate_branch(
+    n: int, witness_cap: int, max_nodes: Optional[int], first_image: int
+) -> tuple[int, list[tuple[int, ...]], int, bool]:
+    """Backtracking census of the mappings with p(1) = first_image.
+
+    first_image lies in 2..N-1, and the node that places it counts against
+    max_nodes like any other.  Returns (count, witnesses, nodes,
+    budget_hit).  Images are assigned in position order with candidates
+    ascending, so witnesses come out in lexicographic order.
     """
-    if n == 1:
-        return 1, [(0,)], 1, False
     full = (1 << n) - 1
     count = 0
-    nodes = 0
+    nodes = 1
     witnesses: list[tuple[int, ...]] = []
     images = [0] * n
     budget_hit = False
@@ -131,15 +137,11 @@ def _enumerate_branch(
                 return False
         return True
 
+    if max_nodes is not None and nodes > max_nodes:
+        return 0, [], nodes, True
     # position 0 is pinned at image 0 with difference 0
-    if first_image is None:
-        rec(1, 1, 1)
-    else:
-        dbit = 1 << ((first_image - 1) % n)
-        if first_image != 0 and not (dbit & 1):
-            nodes += 1
-            images[1] = first_image
-            rec(2, 1 | (1 << first_image), 1 | dbit)
+    images[1] = first_image
+    rec(2, 1 | (1 << first_image), 1 | (1 << (first_image - 1)))
     return count, witnesses, nodes, budget_hit
 
 
@@ -152,31 +154,34 @@ def enumerate_complete_mappings(
     """Exact census of complete mappings of Z/N by backtracking.
 
     limit caps retained witnesses (default 10^6); the count stays exact
-    either way.  max_nodes bounds backtracking steps and raises
-    CensusBudgetError carrying the partial result when exceeded.  workers
-    fans the search out over the image assigned at position 1; the merged
-    census is identical for every worker count.
+    either way.  max_nodes bounds the backtracking steps of the whole
+    census and raises CensusBudgetError carrying the partial result when
+    exceeded.  The search runs as one branch per image at position 1;
+    workers fans the branches out over processes, and the census, partial
+    or not, is identical for every worker count.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
+    if n == 1:  # the identity; there is no position 1 to branch on
+        return MappingCensus(1, 1, (CompleteMapping.from_images((0,)),), False, 1)
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
-    if workers <= 1 or n <= 2:
-        count, images_list, nodes, budget_hit = _enumerate_branch(
-            n, None, witness_cap, max_nodes
-        )
-    else:
-        count, nodes, budget_hit = 0, 0, False
-        images_list = []
-        branch_args = [(n, first, witness_cap, max_nodes) for first in range(1, n)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b_count, b_wit, b_nodes, b_hit in pool.map(
-                _enumerate_branch, *zip(*branch_args)
-            ):
-                count += b_count
-                nodes += b_nodes
-                budget_hit = budget_hit or b_hit
-                images_list.extend(b_wit)
-        images_list = images_list[:witness_cap]
+    count, nodes, budget_hit = 0, 0, False
+    images_list: list[tuple[int, ...]] = []
+    firsts = range(2, n)  # image 1 would repeat difference 0
+    branch = partial(_enumerate_branch, n, witness_cap, max_nodes)
+    for part, first in zip(_map_branches(branch, firsts, workers), firsts):
+        if max_nodes is not None and nodes and nodes + part[2] > max_nodes:
+            # a serial census stops inside this branch: redo it in-process
+            # with what is left of the budget, so it hits the budget there
+            # (with nothing spent yet, part already stopped at that node)
+            part = _enumerate_branch(n, witness_cap, max_nodes - nodes, first)
+        b_count, b_witnesses, b_nodes, budget_hit = part
+        count += b_count
+        nodes += b_nodes
+        images_list.extend(b_witnesses)
+        if budget_hit:
+            break
+    del images_list[witness_cap:]
     samples = tuple(CompleteMapping.from_images(im) for im in images_list)
     census = MappingCensus(
         modulus=n,
@@ -252,32 +257,25 @@ def almost_complete_mapping(n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-RowLike = Sequence[Union[int, Residue]]
-
-
-def _values(row: RowLike) -> list[int]:
-    return [int(v) for v in row]
-
-
-def is_complete_mapping_of(row_a: RowLike, row_b: RowLike) -> bool:
+def is_complete_mapping_of(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
     """True iff the columnwise differences row_b - row_a mod N are all distinct.
 
     Both rows must be permutations of Z/N of the same length; this is the
     condition for two shift-matrix rows to create no 4-cycle between them
-    at lifting factor N.
+    at lifting factor N.  It is symmetric: row_a - row_b is the negation of
+    row_b - row_a, and negation permutes Z/N.
     """
-    a, b = _values(row_a), _values(row_b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if sorted(a) != list(range(n)) or sorted(b) != list(range(n)):
+    if len(row_a) != len(row_b):
+        raise ValueError(f"length mismatch: {len(row_a)} vs {len(row_b)}")
+    n = len(row_a)
+    if sorted(row_a) != list(range(n)) or sorted(row_b) != list(range(n)):
         raise ValueError("rows must be permutations of 0..N-1")
-    return len({(b[i] - a[i]) % n for i in range(n)}) == n
+    return len({(row_b[i] - row_a[i]) % n for i in range(n)}) == n
 
 
 def compatible_pairs(census: MappingCensus) -> list[tuple[int, int]]:
     """Unordered index pairs of census witnesses that are complete mappings
-    of each other, checked in both directions.
+    of each other.
 
     Requires the census to retain every witness.
     """
@@ -287,9 +285,7 @@ def compatible_pairs(census: MappingCensus) -> list[tuple[int, int]]:
     rows = [m.images for m in census.samples]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            if is_complete_mapping_of(rows[i], rows[j]) and is_complete_mapping_of(
-                rows[j], rows[i]
-            ):
+            if is_complete_mapping_of(rows[i], rows[j]):
                 out.append((i, j))
     return out
 

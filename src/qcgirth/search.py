@@ -55,13 +55,31 @@ class SearchResult:
 
 
 def _exists_at_n(
-    j: int, l: int, n: int, target_girth: int, budget: Optional[int], nodes_in: int
+    j: int,
+    l: int,
+    n: int,
+    target_girth: int,
+    n_max: int,
+    budget: Optional[int],
+    nodes_in: int,
+    start: float,
 ) -> tuple[Optional[ShiftMatrix], int]:
     """Find one canonical J x L matrix over Z/N with girth >= target, or None.
 
-    Returns (witness, nodes).  Raises SearchBudgetError via caller when
-    nodes exceed budget (signaled by witness == "budget" sentinel).
+    The one per-N step of every search: the infeasibility pre-checks, the
+    complete-mapping route at N = L for J >= 4, else backtracking.  Returns
+    (witness, nodes) with nodes counted on from nodes_in.  When nodes reach
+    budget it raises SearchBudgetError carrying the partial result of a
+    search up to n_max that began at perf_counter() time start.
     """
+    if target_girth == 6 and n < l:
+        return None, nodes_in  # a girth-6 row holds L distinct residues
+    if target_girth == 8 and j >= 3 and n <= 2 * (l - 1):
+        # rows 2 and 3 of a canonical girth-8 matrix need 2(L-1) distinct
+        # nonzero residues; two-row matrices escape this bound
+        return None, nodes_in
+    if target_girth == 6 and n == l and j >= 4:
+        return _mapping_route_at_l(j, l), nodes_in
     want8 = target_girth >= 8
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
@@ -123,7 +141,17 @@ def _exists_at_n(
             for new, eq_next in partial:
                 if budget is not None and nodes >= budget:
                     raise SearchBudgetError(
-                        _partial_result(j, l, target_girth, n, nodes)
+                        SearchResult(
+                            j=j,
+                            l=l,
+                            target_girth=target_girth,
+                            n_max=n_max,
+                            min_n=None,
+                            witness=None,
+                            nodes=nodes,
+                            wall_time=time.perf_counter() - start,
+                            exhaustive=False,
+                        )
                     )
                 nodes += 1
                 if not col_ok(c, new):
@@ -141,20 +169,6 @@ def _exists_at_n(
         return None, nodes
     entries = tuple(tuple(col[r] for col in hit) for r in range(j))
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
-
-
-def _partial_result(j: int, l: int, target: int, n: int, nodes: int) -> SearchResult:
-    return SearchResult(
-        j=j,
-        l=l,
-        target_girth=target,
-        n_max=n,
-        min_n=None,
-        witness=None,
-        nodes=nodes,
-        wall_time=0.0,
-        exhaustive=False,
-    )
 
 
 def _mapping_route_at_l(j: int, l: int) -> Optional[ShiftMatrix]:
@@ -213,16 +227,9 @@ def exists_code(
         raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
     if j < 2 or l < 2:
         raise ValueError(f"need J >= 2 and L >= 2, got ({j}, {l})")
-    if target_girth == 6 and n < l:
-        return False, None  # a girth-6 row holds L distinct residues
-    if target_girth == 8 and j >= 3 and n <= 2 * (l - 1):
-        # rows 2 and 3 of a canonical girth-8 matrix need 2(L-1) distinct
-        # nonzero residues; two-row matrices escape this bound
-        return False, None
-    if target_girth == 6 and n == l and j >= 4:
-        witness = _mapping_route_at_l(j, l)
-        return (witness is not None), witness
-    witness, _ = _exists_at_n(j, l, n, target_girth, budget, 0)
+    witness, _ = _exists_at_n(
+        j, l, n, target_girth, n, budget, 0, time.perf_counter()
+    )
     return (witness is not None), witness
 
 
@@ -248,47 +255,25 @@ def min_lifting_factor(
         raise ValueError(f"J must be in [3, 5], got {j}")
     start = time.perf_counter()
     nodes = 0
-    lo = l if target_girth == 6 else max(l, 2 * l - 1)
-    for n in range(lo, n_max + 1):
-        if target_girth == 6 and n == l and j >= 4:
-            witness = _mapping_route_at_l(j, l)
-        else:
-            try:
-                witness, nodes = _exists_at_n(j, l, n, target_girth, budget, nodes)
-            except SearchBudgetError as exc:
-                raise SearchBudgetError(
-                    SearchResult(
-                        j=j,
-                        l=l,
-                        target_girth=target_girth,
-                        n_max=n_max,
-                        min_n=None,
-                        witness=None,
-                        nodes=exc.partial.nodes,
-                        wall_time=time.perf_counter() - start,
-                        exhaustive=False,
-                    )
-                ) from None
+    min_n = witness = None
+    for n in range(1, n_max + 1):  # the step's pre-checks pass over small N
+        witness, nodes = _exists_at_n(
+            j, l, n, target_girth, n_max, budget, nodes, start
+        )
         if witness is not None:
-            assert has_girth_at_least(witness, target_girth)
-            return SearchResult(
-                j=j,
-                l=l,
-                target_girth=target_girth,
-                n_max=n_max,
-                min_n=n,
-                witness=witness,
-                nodes=nodes,
-                wall_time=time.perf_counter() - start,
-                exhaustive=True,
-            )
+            if not has_girth_at_least(witness, target_girth):
+                raise RuntimeError(
+                    f"search witness at N={n} lacks girth {target_girth}"
+                )
+            min_n = n
+            break
     return SearchResult(
         j=j,
         l=l,
         target_girth=target_girth,
         n_max=n_max,
-        min_n=None,
-        witness=None,
+        min_n=min_n,
+        witness=witness,
         nodes=nodes,
         wall_time=time.perf_counter() - start,
         exhaustive=True,
@@ -313,7 +298,8 @@ def girth6_even_L(l: int) -> SearchResult:
     # dropping a column cannot shorten cycles, and girth 8 would need
     # N > 2(L-1) > L+1, so the girth is exactly 6
     report = girth_from_shifts(trimmed, 8)
-    assert report.girth == 6, f"expected girth 6 at L={l}, got {report.girth}"
+    if report.girth != 6:
+        raise RuntimeError(f"expected girth 6 at L={l}, got {report.girth}")
     return SearchResult(
         j=3,
         l=l,

@@ -1,62 +1,9 @@
-"""Arithmetic in the cyclic group Z/N and basic permutation predicates."""
+"""Permutations of Z/N, stored as image sequences."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-MAX_MODULUS = 2**31 - 1
-
-
-class ModulusMismatchError(ValueError):
-    """Raised when combining residues from different cyclic groups."""
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/N, normalized to 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.modulus <= MAX_MODULUS:
-            raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: Residue) -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatchError(
-                f"incompatible moduli {self.modulus} and {other.modulus}"
-            )
-
-    def __add__(self, other: Residue) -> Residue:
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: Residue) -> Residue:
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def mod_add(a: Residue, b: Residue) -> Residue:
-    return a + b
-
-
-def mod_sub(a: Residue, b: Residue) -> Residue:
-    return a - b
-
-
-def element_order(a: Residue) -> int:
-    """Smallest n >= 1 with n*a == 0 mod N; the identity has order 1."""
-    return a.modulus // math.gcd(a.value, a.modulus)
 
 
 @dataclass(frozen=True)
@@ -86,25 +33,3 @@ class Permutation:
     @classmethod
     def from_images(cls, images: Iterable[int]) -> Permutation:
         return cls(tuple(images))
-
-
-def is_fixed_point_free(p: Permutation, exclude_zero: bool = False) -> bool:
-    """True when p(i) != i for all checked positions.
-
-    With exclude_zero set, position 0 is skipped so that mappings pinned
-    at p(0) = 0 can be tested on their nonzero points.
-    """
-    start = 1 if exclude_zero else 0
-    return all(p.images[i] != i for i in range(start, p.modulus))
-
-
-def count_derangements(m: int) -> int:
-    """Number of fixed-point-free permutations of m elements."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1:
-        return 0
-    prev2, prev = 1, 0  # D_0 = 1, D_1 = 0
-    for i in range(2, m + 1):
-        prev2, prev = prev, (i - 1) * (prev + prev2)
-    return prev

@@ -84,6 +84,12 @@ def test_mappings_worker_fanout_same_bytes(capsys):
     _, fanned, _ = run(capsys, ["mappings", "enumerate", "--n", "7",
                                 "--format", "structured", "--workers", "2"])
     assert single == fanned
+    budget = ["mappings", "count", "--n", "11", "--budget", "2000"]
+    for workers in ("1", "2", "3"):
+        code, out, err = run(capsys, budget + ["--workers", workers])
+        assert code == EXIT_BUDGET
+        assert out == "partial count (budget hit): 152\n"
+        assert "after 2001 nodes" in err
 
 
 def test_construct_product(capsys):
@@ -147,6 +153,19 @@ def test_girth_shifts_method_requires_shift_file(tmp_path, capsys):
                                 "--method", "shifts"])
     assert code == EXIT_USAGE
     assert "shift-matrix" in err
+
+
+def test_girth_shifts_method_does_not_lift(tmp_path, capsys, monkeypatch):
+    def no_lift(matrix):
+        raise AssertionError("the shifts method needs no lifted matrix")
+
+    monkeypatch.setattr("qcgirth.cli.lift", no_lift)
+    path = tmp_path / "p.shifts"
+    path.write_text(export_shift_matrix(girth6_odd_L_explicit(5, 2)))
+    code, out, _ = run(capsys, ["girth", "--input", str(path),
+                                "--method", "shifts"])
+    assert code == EXIT_OK
+    assert "method shifts" in out and "girth 6" in out
 
 
 def test_girth_missing_file(capsys):

@@ -371,7 +371,6 @@ def test_verify_girth8_bound_report():
     ]
     assert report.total_violations == 0
     assert report.below_bound_valid == 0
-    assert report.complete
 
 
 def test_verify_girth8_bound_worker_fanout_is_deterministic():
