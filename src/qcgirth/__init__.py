@@ -44,6 +44,7 @@ from .lifting import (
 from .mappings import (
     CompleteMapping,
     MappingCensus,
+    Permutation,
     almost_complete_mapping,
     compatible_pairs,
     difference_sequence,
@@ -60,7 +61,6 @@ from .search import (
     girth6_odd_L_explicit,
     min_lifting_factor,
 )
-from .zmod import Permutation
 
 __all__ = [
     "CaseClassification",

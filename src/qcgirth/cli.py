@@ -27,13 +27,13 @@ from .lifting import (
 )
 from .mappings import (
     CensusBudgetError,
+    Permutation,
     compatible_pairs,
     difference_sequence,
     enumerate_complete_mappings,
     export_census,
     is_complete_mapping,
 )
-from .zmod import Permutation
 from .search import (
     SearchBudgetError,
     girth6_even_L,
@@ -136,7 +136,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         elif args.kind == "reversal":
             matrix = girth6_odd_L_explicit(args.l, args.l - 1)
         else:  # even-l
-            matrix = girth6_even_L(args.l).witness
+            matrix = girth6_even_L(args.l)
     except ValueError as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
@@ -286,9 +286,6 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
-    parser.add_argument(
-        "--format", choices=("human", "structured"), default="human"
-    )
     parser.add_argument("--output", help="write the report here instead of stdout")
     if workers:
         parser.add_argument(
@@ -312,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--images", help="comma-separated image list for check")
     p_map.add_argument("--limit", type=int, default=None, help="witness cap")
     p_map.add_argument("--budget", type=int, default=None, help="node budget")
+    p_map.add_argument(
+        "--format", choices=("human", "structured"), default="human"
+    )
     _add_common(p_map, workers=True)
     p_map.set_defaults(func=_cmd_mappings)
 

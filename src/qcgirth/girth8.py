@@ -63,13 +63,6 @@ class Girth8Table:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entry(i, i) for i in range(self.l_prime))
 
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        lp = self.l_prime
-        return tuple(
-            tuple(self.entry(r, c) for c in range(lp)) for r in range(lp)
-        )
-
 
 @dataclass(frozen=True)
 class ValidityVerdict:

@@ -11,10 +11,9 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .mappings import CompleteMapping
-from .zmod import Permutation
+from .mappings import Permutation
 
 
 class AlistParseError(ValueError):
@@ -66,36 +65,16 @@ class ShiftMatrix:
 
 @dataclass(frozen=True)
 class ParityCheckMatrix:
-    """Sparse binary JN x LN matrix; adjacency is the set of one-positions.
-
-    block metadata (block_rows, block_cols, lifting_factor) is provenance
-    from lifting and is absent (None) on matrices read back from alist
-    text, so equality compares shape and adjacency only.
-    """
+    """Sparse binary JN x LN matrix; adjacency is the set of one-positions."""
 
     n_rows: int
     n_cols: int
     adjacency: frozenset[tuple[int, int]]
-    block_rows: Optional[int] = None
-    block_cols: Optional[int] = None
-    lifting_factor: Optional[int] = None
 
     def __post_init__(self) -> None:
         for r, c in self.adjacency:
             if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
                 raise ValueError(f"one-position ({r}, {c}) outside matrix")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParityCheckMatrix):
-            return NotImplemented
-        return (
-            self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and self.adjacency == other.adjacency
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_rows, self.n_cols, self.adjacency))
 
     def row_neighbors(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n_rows)]
@@ -145,14 +124,13 @@ def cpm(shift: int, n: int) -> frozenset[tuple[int, int]]:
     return frozenset((r, (r + s) % n) for r in range(n))
 
 
-def canonical_from_mapping(p: Union[CompleteMapping, Permutation]) -> ShiftMatrix:
+def canonical_from_mapping(p: Permutation) -> ShiftMatrix:
     """The 3 x N shift matrix (zeros; 0..N-1; p(0)..p(N-1)) for p(0) = 0."""
-    perm = p.permutation if isinstance(p, CompleteMapping) else p
-    if perm.images[0] != 0:
-        raise ValueError(f"mapping must fix 0, got p(0) = {perm.images[0]}")
-    n = perm.modulus
+    if p.images[0] != 0:
+        raise ValueError(f"mapping must fix 0, got p(0) = {p.images[0]}")
+    n = p.modulus
     return ShiftMatrix(
-        entries=(tuple([0] * n), tuple(range(n)), perm.images),
+        entries=(tuple([0] * n), tuple(range(n)), p.images),
         lifting_factor=n,
     )
 
@@ -190,9 +168,6 @@ def lift(p: ShiftMatrix) -> ParityCheckMatrix:
         n_rows=p.rows * n,
         n_cols=p.cols * n,
         adjacency=frozenset(ones),
-        block_rows=p.rows,
-        block_cols=p.cols,
-        lifting_factor=n,
     )
 
 
@@ -228,7 +203,7 @@ def _ints(line: str, lineno: int, expect: Optional[int] = None) -> list[int]:
 
 
 def import_alist(text: str) -> ParityCheckMatrix:
-    """Parse alist text back into a ParityCheckMatrix (no block metadata)."""
+    """Parse alist text back into a ParityCheckMatrix."""
     lines = text.splitlines()
 
     def need(i: int) -> str:

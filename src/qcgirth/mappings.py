@@ -1,4 +1,5 @@
-"""Complete mappings of Z/N: predicates, enumeration, and explicit constructions.
+"""Permutations and complete mappings of Z/N: predicates, enumeration, and
+explicit constructions.
 
 A complete mapping is a permutation p of Z/N with p(0) = 0 whose difference
 sequence i -> p(i) - i mod N is itself a permutation.  Rows of a girth-6
@@ -10,12 +11,10 @@ mapping of the other.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-from .zmod import Permutation
 
 DEFAULT_WITNESS_CAP = 10**6
 
@@ -32,29 +31,39 @@ class CensusBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CompleteMapping:
-    """A permutation fixing 0 whose difference sequence is a permutation."""
+class Permutation:
+    """A bijection on Z/N stored as the image sequence (p(0), ..., p(N-1))."""
 
-    permutation: Permutation
+    images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_complete_mapping(self.permutation):
-            raise ValueError(f"{self.permutation.images} is not a complete mapping")
+        n = len(self.images)
+        if n == 0:
+            raise ValueError("permutation needs at least one point")
+        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
+        if sorted(self.images) != list(range(n)):
+            raise ValueError(f"images {self.images} are not a permutation of 0..{n - 1}")
 
     @property
     def modulus(self) -> int:
-        return self.permutation.modulus
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self.permutation.images
+        return len(self.images)
 
     def __call__(self, i: int) -> int:
-        return self.permutation(i)
+        return self.images[i % self.modulus]
 
     @classmethod
-    def from_images(cls, images: Sequence[int]) -> CompleteMapping:
-        return cls(Permutation(tuple(images)))
+    def from_images(cls, images: Iterable[int]) -> Permutation:
+        return cls(tuple(images))
+
+
+@dataclass(frozen=True)
+class CompleteMapping(Permutation):
+    """A permutation fixing 0 whose difference sequence is a permutation."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not is_complete_mapping(self):
+            raise ValueError(f"{self.images} is not a complete mapping")
 
 
 @dataclass(frozen=True)
@@ -88,12 +97,16 @@ def is_complete_mapping(p: Permutation) -> bool:
 
 def _map_branches(fn: Callable, branches: Iterable, workers: int) -> Iterator:
     """Yield fn(branch) for each branch in order: in this process when
-    workers <= 1, else from one pool of that many processes."""
+    workers <= 1, else from one pool of that many processes.
+
+    Leaving the pool terminates its workers, so closing the generator early
+    stops the branches still in flight instead of waiting for them.
+    """
     if workers <= 1:
         yield from map(fn, branches)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, branches)
+        with multiprocessing.Pool(workers) as pool:
+            yield from pool.imap(fn, branches)
 
 
 def _enumerate_branch(
@@ -162,14 +175,16 @@ def enumerate_complete_mappings(
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    if n == 1:  # the identity; there is no position 1 to branch on
-        return MappingCensus(1, 1, (CompleteMapping.from_images((0,)),), False, 1)
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
+    if n == 1:  # the identity; there is no position 1 to branch on
+        samples = (CompleteMapping((0,)),)[:witness_cap]
+        return MappingCensus(1, 1, samples, not samples, 1)
     count, nodes, budget_hit = 0, 0, False
     images_list: list[tuple[int, ...]] = []
     firsts = range(2, n)  # image 1 would repeat difference 0
     branch = partial(_enumerate_branch, n, witness_cap, max_nodes)
-    for part, first in zip(_map_branches(branch, firsts, workers), firsts):
+    results = _map_branches(branch, firsts, workers)
+    for part, first in zip(results, firsts):
         if max_nodes is not None and nodes and nodes + part[2] > max_nodes:
             # a serial census stops inside this branch: redo it in-process
             # with what is left of the budget, so it hits the budget there
@@ -181,6 +196,7 @@ def enumerate_complete_mappings(
         images_list.extend(b_witnesses)
         if budget_hit:
             break
+    results.close()  # stops the branches a pool still runs past the budget
     del images_list[witness_cap:]
     samples = tuple(CompleteMapping.from_images(im) for im in images_list)
     census = MappingCensus(
@@ -281,11 +297,14 @@ def compatible_pairs(census: MappingCensus) -> list[tuple[int, int]]:
     """
     if census.truncated or len(census.samples) != census.count:
         raise ValueError("census lacks full witnesses; rerun without a limit")
+    # the rows are permutations by type, so is_complete_mapping_of's
+    # validation is skipped and only the differences are tested
+    n = census.modulus
     out = []
     rows = [m.images for m in census.samples]
-    for i in range(len(rows)):
+    for i, row_a in enumerate(rows):
         for j in range(i + 1, len(rows)):
-            if is_complete_mapping_of(rows[i], rows[j]):
+            if len({(b - a) % n for a, b in zip(row_a, rows[j])}) == n:
                 out.append((i, j))
     return out
 

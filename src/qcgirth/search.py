@@ -280,7 +280,7 @@ def min_lifting_factor(
     )
 
 
-def girth6_even_L(l: int) -> SearchResult:
+def girth6_even_L(l: int) -> ShiftMatrix:
     """Girth-6 witness at N = L+1 for even L by dropping one column.
 
     The canonical matrix of the doubling mapping over Z/(L+1) has girth 6;
@@ -289,7 +289,6 @@ def girth6_even_L(l: int) -> SearchResult:
     """
     if l < 4 or l % 2:
         raise ValueError(f"L must be even and >= 4, got {l}")
-    start = time.perf_counter()
     n = l + 1
     full = canonical_from_mapping(product_mapping(2, n))
     trimmed = ShiftMatrix(
@@ -300,17 +299,7 @@ def girth6_even_L(l: int) -> SearchResult:
     report = girth_from_shifts(trimmed, 8)
     if report.girth != 6:
         raise RuntimeError(f"expected girth 6 at L={l}, got {report.girth}")
-    return SearchResult(
-        j=3,
-        l=l,
-        target_girth=6,
-        n_max=n,
-        min_n=n,
-        witness=trimmed,
-        nodes=0,
-        wall_time=time.perf_counter() - start,
-        exhaustive=False,  # constructive, not a minimality certificate
-    )
+    return trimmed
 
 
 def girth6_odd_L_explicit(l: int, h: Optional[int] = None) -> ShiftMatrix:
@@ -327,22 +316,3 @@ def girth6_odd_L_explicit(l: int, h: Optional[int] = None) -> ShiftMatrix:
             raise ValueError(f"no valid multiplier exists for L={l}")
         h = multipliers[0]
     return canonical_from_mapping(product_mapping(h, l))
-
-
-def export_search_result(result: SearchResult) -> str:
-    """Structured text with parameters, outcome, and node count."""
-    lines = [
-        "search-result 1",
-        f"J {result.j}",
-        f"L {result.l}",
-        f"target-girth {result.target_girth}",
-        f"n-max {result.n_max}",
-        f"min-n {'none' if result.min_n is None else result.min_n}",
-        f"nodes {result.nodes}",
-        f"exhaustive {'true' if result.exhaustive else 'false'}",
-    ]
-    if result.witness is not None:
-        lines.append("witness")
-        for row in result.witness.entries:
-            lines.append("row " + " ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

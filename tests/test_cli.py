@@ -33,6 +33,11 @@ def test_mappings_enumerate_structured(capsys):
         "census 1\nmodulus 5\ncount 3\nwitnesses 3\n"
         "0 2 4 1 3\n0 3 1 4 2\n0 4 3 2 1\n"
     )
+    # the witness cap holds at N = 1 too
+    code, out, _ = run(capsys, ["mappings", "enumerate", "--n", "1",
+                                "--limit", "0", "--format", "structured"])
+    assert code == EXIT_OK
+    assert out == "census 1\nmodulus 1\ncount 1\nwitnesses 0\n"
 
 
 def test_mappings_enumerate_human(capsys):
@@ -190,6 +195,14 @@ def test_verify_min_lift(capsys):
         "min-lift-report 1\nJ 3\ntarget-girth 6\nn-max 6\n"
         "L 4 min-n 5 expected 5 ok\nL 5 min-n 5 expected 5 ok\n"
     )
+
+
+def test_format_belongs_to_mappings_only():
+    # every other command writes its one format, so --format is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "min-lift", "--l-min", "4", "--l-max", "5",
+              "--n-max", "6", "--format", "structured"])
+    assert info.value.code == EXIT_USAGE
 
 
 def test_verify_min_lift_flags_mismatch(capsys):

@@ -17,8 +17,7 @@ from qcgirth.lifting import (
     lift,
     normalize,
 )
-from qcgirth.mappings import product_mapping
-from qcgirth.zmod import Permutation
+from qcgirth.mappings import Permutation, product_mapping
 
 
 def random_shift_matrix(draw_rows, draw_cols, draw_n, rng):
@@ -112,7 +111,6 @@ def test_lift_small_example():
     assert h.adjacency == frozenset(
         {(0, 0), (1, 1), (0, 3), (1, 2), (2, 1), (3, 0), (2, 2), (3, 3)}
     )
-    assert h.block_rows == 2 and h.block_cols == 2 and h.lifting_factor == 2
 
 
 @given(shift_matrices)

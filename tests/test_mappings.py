@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+from pathlib import Path
 
 import pytest
 from conftest import run_with_budget
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from qcgirth.mappings import (
     CensusBudgetError,
     CompleteMapping,
+    Permutation,
+    _map_branches,
     almost_complete_mapping,
     compatible_pairs,
     difference_sequence,
@@ -19,7 +23,6 @@ from qcgirth.mappings import (
     product_mapping,
     valid_product_multipliers,
 )
-from qcgirth.zmod import Permutation
 
 # exact counts, reproduced independently for N=5 below
 ODD_COUNTS = {1: 1, 3: 1, 5: 3, 7: 19, 9: 225, 11: 3441}
@@ -33,6 +36,14 @@ def brute_force_mappings(n):
         if len({(images[i] - i) % n for i in range(n)}) == n:
             out.append(images)
     return out
+
+
+def test_permutation_validation():
+    with pytest.raises(ValueError):
+        Permutation((0, 0, 1))
+    with pytest.raises(ValueError):
+        Permutation((1, 2, 3))
+    assert Permutation((2, 0, 1))(0) == 2
 
 
 def test_difference_sequence():
@@ -82,6 +93,8 @@ def test_census_witness_limit():
     full = enumerate_complete_mappings(7)
     assert not full.truncated
     assert census.samples == full.samples[:5]
+    one = enumerate_complete_mappings(1, limit=0)
+    assert (one.count, one.samples, one.truncated) == (1, (), True)
 
 
 def test_census_budget_error_carries_partial():
@@ -106,6 +119,24 @@ def test_census_worker_fanout_is_deterministic():
         partials.append(info.value.partial)
     assert partials[0].nodes == 20001 and partials[0].count == 1389
     assert partials[1] == partials[0] and partials[2] == partials[0]
+
+
+def _slow_branch(branch):
+    marker_dir, k = branch
+    if k:
+        time.sleep(1.0)
+        Path(marker_dir, f"branch-{k}").touch()
+    return k
+
+
+def test_map_branches_close_stops_branches_in_flight(tmp_path):
+    # a budgeted census stops reading after the branch where the budget
+    # runs out; the branches already handed to workers must not run on
+    results = _map_branches(_slow_branch, [(str(tmp_path), k) for k in range(4)], 2)
+    assert next(results) == 0
+    results.close()
+    time.sleep(1.5)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_census_rejects_bad_modulus():
@@ -157,14 +188,14 @@ def test_product_mapping_complete_for_every_valid_multiplier():
         # the reversal multiplier N-1 qualifies at every odd N
         assert n - 1 in multipliers
         for h in multipliers:
-            assert is_complete_mapping(product_mapping(h, n).permutation)
+            assert is_complete_mapping(product_mapping(h, n))
 
 
 @given(st.sampled_from([3, 5, 7, 9, 11, 13, 15]), st.data())
 def test_product_mapping_difference_is_linear(n, data):
     h = data.draw(st.sampled_from(valid_product_multipliers(n)))
     m = product_mapping(h, n)
-    diffs = tuple(int(d) for d in difference_sequence(m.permutation))
+    diffs = tuple(int(d) for d in difference_sequence(m))
     assert diffs == tuple(((h - 1) * i) % n for i in range(n))
 
 

@@ -4,16 +4,14 @@ import pytest
 
 from qcgirth.girth import count_4cycles, girth_bfs, girth_from_shifts
 from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
-from qcgirth.mappings import is_complete_mapping
+from qcgirth.mappings import Permutation, is_complete_mapping
 from qcgirth.search import (
     SearchBudgetError,
     exists_code,
-    export_search_result,
     girth6_even_L,
     girth6_odd_L_explicit,
     min_lifting_factor,
 )
-from qcgirth.zmod import Permutation
 
 
 def brute_exists(j, l, n, girth6=True):
@@ -133,11 +131,9 @@ def test_search_witness_survives_alist_roundtrip():
 
 def test_girth6_even_L():
     for l in (4, 6, 8):
-        r = girth6_even_L(l)
-        assert r.min_n == l + 1
-        assert r.witness.cols == l and r.witness.lifting_factor == l + 1
-        assert girth_bfs(lift(r.witness), 12).girth == 6
-        assert not r.exhaustive
+        p = girth6_even_L(l)
+        assert p.cols == l and p.lifting_factor == l + 1
+        assert girth_bfs(lift(p), 12).girth == 6
     with pytest.raises(ValueError, match="even"):
         girth6_even_L(5)
 
@@ -153,21 +149,3 @@ def test_girth6_odd_L_explicit():
     assert girth_from_shifts(wide, 12).girth == 6
     with pytest.raises(ValueError, match="odd"):
         girth6_odd_L_explicit(4)
-
-
-def test_export_search_result_golden():
-    r = min_lifting_factor(3, 4, 6, 12)
-    assert export_search_result(r) == (
-        "search-result 1\n"
-        "J 3\n"
-        "L 4\n"
-        "target-girth 6\n"
-        "n-max 12\n"
-        "min-n 5\n"
-        f"nodes {r.nodes}\n"
-        "exhaustive true\n"
-        "witness\n"
-        "row 0 0 0 0\n"
-        "row 0 1 2 3\n"
-        "row 0 2 4 1\n"
-    )

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qcgirth"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qcgirth"
 
 
 def test_library_raises_instead_of_asserting():
@@ -18,3 +20,19 @@ def test_library_raises_instead_of_asserting():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_trace_hooks_resolve(monkeypatch):
+    # the traced benchmark run wraps each WRAPPED name on its calling
+    # modules; a name a refactor moves or deletes would break that run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [
+        f"{caller}.{name}"
+        for name, callers, *_ in spans.WRAPPED
+        for caller in callers
+        if not callable(
+            getattr(importlib.import_module(f"qcgirth.{caller}"), name, None)
+        )
+    ]
+    assert spans.WRAPPED and missing == []
