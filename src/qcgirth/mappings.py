@@ -177,6 +177,9 @@ def enumerate_complete_mappings(
         raise ValueError(f"modulus must be >= 1, got {n}")
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
     if n == 1:  # the identity; there is no position 1 to branch on
+        if max_nodes is not None and max_nodes < 1:
+            # placing the identity is the one node, as N = 3 counts it
+            raise CensusBudgetError(MappingCensus(1, 0, (), False, 1))
         samples = (CompleteMapping((0,)),)[:witness_cap]
         return MappingCensus(1, 1, samples, not samples, 1)
     count, nodes, budget_hit = 0, 0, False

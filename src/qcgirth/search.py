@@ -5,15 +5,22 @@ second-row entries strictly ascending (column permutation), and rows
 3..J in nondecreasing lexicographic order (row-block permutation).
 Every girth-6 or girth-8 matrix is equivalent to a canonical one, so
 exhausting the canonical space at a given N certifies nonexistence.
-Columns are assigned left to right; a new column is rejected as soon as
-it closes a 4-cycle (or, for girth 8, a 6-cycle) with columns already
-placed.
+Columns are assigned left to right.  A 4-cycle (or, for girth 8, a
+6-cycle) through a new column y closes exactly when, for some ordered
+row pair (p, q), y[q] - y[p] hits a residue fixed by the placed columns
+(Fossorier's condition: an alternating sum of shifts vanishes mod N).
+So the search keeps one forbidden-residue bitmask per ordered row pair,
+filled in as each column x is placed: bit x[q] - x[p] for 4-cycles and,
+for girth 8, bit x[q] - x[r] + z[r] - z[p] (and its mirror) per earlier
+column z and third row r for 6-cycles.  A candidate column is rejected
+as soon as one of its row-pair differences hits that pair's mask.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Optional
 
 from .girth import girth_from_shifts, has_girth_at_least
@@ -27,20 +34,20 @@ from .mappings import (
 
 
 class SearchBudgetError(RuntimeError):
-    """Node budget ran out; carries the partial, non-exhaustive result."""
+    """Node budget ran out; nodes counts the search nodes visited."""
 
-    def __init__(self, partial: SearchResult):
-        super().__init__(f"node budget exhausted after {partial.nodes} nodes")
-        self.partial = partial
+    def __init__(self, nodes: int):
+        super().__init__(f"node budget exhausted after {nodes} nodes")
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a minimal-N search or a fixed-N existence check.
+    """Outcome of a minimal-N search.
 
-    min_n is None when no admissible matrix exists with N <= n_max;
-    exhaustive marks that every N up to the reported one (or n_max) was
-    fully explored, making "not found" a nonexistence certificate.
+    min_n is None when no admissible matrix exists with N <= n_max.  Every
+    N below the reported one (or up to n_max) was fully explored, since a
+    search that runs out of budget raises instead of returning.
     """
 
     j: int
@@ -51,7 +58,6 @@ class SearchResult:
     witness: Optional[ShiftMatrix]
     nodes: int
     wall_time: float
-    exhaustive: bool
 
 
 def _exists_at_n(
@@ -59,18 +65,15 @@ def _exists_at_n(
     l: int,
     n: int,
     target_girth: int,
-    n_max: int,
     budget: Optional[int],
     nodes_in: int,
-    start: float,
 ) -> tuple[Optional[ShiftMatrix], int]:
     """Find one canonical J x L matrix over Z/N with girth >= target, or None.
 
     The one per-N step of every search: the infeasibility pre-checks, the
     complete-mapping route at N = L for J >= 4, else backtracking.  Returns
-    (witness, nodes) with nodes counted on from nodes_in.  When nodes reach
-    budget it raises SearchBudgetError carrying the partial result of a
-    search up to n_max that began at perf_counter() time start.
+    (witness, nodes) with nodes counted on from nodes_in, and raises
+    SearchBudgetError when nodes reach budget.
     """
     if target_girth == 6 and n < l:
         return None, nodes_in  # a girth-6 row holds L distinct residues
@@ -81,90 +84,60 @@ def _exists_at_n(
     if target_girth == 6 and n == l and j >= 4:
         return _mapping_route_at_l(j, l), nodes_in
     want8 = target_girth >= 8
+    row_pairs = list(permutations(range(j), 2))  # ordered, p != q
+    tails = list(product(range(n), repeat=j - 2))  # rows 2..J-1 of a column
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
 
-    def col_ok(c: int, new: tuple[int, ...]) -> bool:
-        for b in range(c):
-            old = cols[b]
-            for j1 in range(j):
-                for j2 in range(j1 + 1, j):
-                    if (new[j1] - new[j2] - old[j1] + old[j2]) % n == 0:
-                        return False
-        if want8:
-            for b1 in range(c):
-                for b2 in range(c):
-                    if b1 == b2:
-                        continue
-                    a, b = cols[b1], cols[b2]
-                    for j1 in range(j):
-                        for j2 in range(j):
-                            if j2 == j1:
-                                continue
-                            for j3 in range(j):
-                                if j3 == j1 or j3 == j2:
-                                    continue
-                                s = a[j1] - b[j1] + b[j2] - new[j2] + new[j3] - a[j3]
-                                if s % n == 0:
-                                    return False
-        return True
+    def place(masks: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+        # the residues of y[q] - y[p] that column x forbids to later columns
+        # y, on top of what the placed columns (cols, without x) forbid
+        out = []
+        for m, (p, q) in zip(masks, row_pairs):
+            m |= 1 << ((x[q] - x[p]) % n)  # 4-cycle on columns x, y
+            if want8:
+                # 6-cycles on columns x, z, y through rows p, q, r
+                for z in cols:
+                    for r in range(j):
+                        if r != p and r != q:
+                            m |= 1 << ((x[q] - x[r] + z[r] - z[p]) % n)
+                            m |= 1 << ((z[q] - z[r] + x[r] - x[p]) % n)
+            out.append(m)
+        return tuple(out)
 
-    # eq[r] tracks whether rows 2+r and 3+r still have equal prefixes, for
-    # the lexicographic tie-break between adjacent free rows
-    def rec(c: int, eq: tuple[bool, ...]) -> Optional[tuple]:
+    def rec(c: int, masks: tuple[int, ...]) -> Optional[tuple]:
         nonlocal nodes
         if c == l:
             return tuple(cols)
+        # rows 2+k and 3+k still equal on every placed column must stay in
+        # nondecreasing order, the lexicographic tie-break between free rows
+        tied = [
+            k for k in range(j - 3) if all(col[k + 2] == col[k + 3] for col in cols)
+        ]
         lo1 = cols[c - 1][1] + 1 if c > 1 else 1
         # strictly ascending second row must leave room for later columns
         for v1 in range(lo1, n - (l - 1 - c)):
-            partial: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
-
-            # build rows 2..J-1 of this column depth-first
-            def extend(prefix: tuple[int, ...], eq_now: tuple[bool, ...]) -> None:
-                r = len(prefix)
-                if r == j:
-                    partial.append((prefix, eq_now))
-                    return
-                lo = 0
-                if r >= 3 and eq_now[r - 3]:
-                    lo = prefix[r - 1]  # keep row r-1 <= row r while tied
-                for v in range(lo, n):
-                    new_eq = eq_now
-                    if r >= 3:
-                        idx = r - 3
-                        new_eq = eq_now[:idx] + (eq_now[idx] and v == prefix[r - 1],) \
-                            + eq_now[idx + 1:]
-                    extend(prefix + (v,), new_eq)
-
-            extend((0, v1), eq)
-            for new, eq_next in partial:
-                if budget is not None and nodes >= budget:
-                    raise SearchBudgetError(
-                        SearchResult(
-                            j=j,
-                            l=l,
-                            target_girth=target_girth,
-                            n_max=n_max,
-                            min_n=None,
-                            witness=None,
-                            nodes=nodes,
-                            wall_time=time.perf_counter() - start,
-                            exhaustive=False,
-                        )
-                    )
-                nodes += 1
-                if not col_ok(c, new):
+            for tail in tails:
+                if any(tail[k] > tail[k + 1] for k in tied):
                     continue
-                cols.append(new)
-                hit = rec(c + 1, eq_next)
+                if budget is not None and nodes >= budget:
+                    raise SearchBudgetError(nodes)
+                nodes += 1
+                y = (0, v1) + tail
+                if any(
+                    m >> ((y[q] - y[p]) % n) & 1 for m, (p, q) in zip(masks, row_pairs)
+                ):
+                    continue
+                next_masks = place(masks, y)
+                cols.append(y)
+                hit = rec(c + 1, next_masks)
                 if hit is not None:
                     return hit
                 cols.pop()
         return None
 
-    start_eq = (True,) * max(0, j - 3)
-    hit = rec(1, start_eq)
+    # column 0 is all zeros, so it forbids difference 0 on every row pair
+    hit = rec(1, (1,) * len(row_pairs))
     if hit is None:
         return None, nodes
     entries = tuple(tuple(col[r] for col in hit) for r in range(j))
@@ -175,23 +148,10 @@ def _mapping_route_at_l(j: int, l: int) -> Optional[ShiftMatrix]:
     """Girth-6 existence at N = L for J >= 4 via pairwise complete mappings.
 
     Rows 3..J of a canonical girth-6 matrix at N = L are complete mappings
-    that are pairwise complete mappings of each other; J = 4 needs one
-    compatible pair.  Returns a witness matrix or None.
+    that are pairwise complete mappings of each other, so they form a
+    clique of J - 2 compatible mappings.  Returns a witness matrix or None.
     """
     census = enumerate_complete_mappings(l)
-    if j == 4:
-        pairs = compatible_pairs(census)
-        if not pairs:
-            return None
-        i, k = pairs[0]
-        rows = (
-            (0,) * l,
-            tuple(range(l)),
-            census.samples[i].images,
-            census.samples[k].images,
-        )
-        return ShiftMatrix(entries=rows, lifting_factor=l)
-    # J >= 5: every (J-2)-subset must be pairwise compatible
     samples = census.samples
     need = j - 2
     pairs = set(compatible_pairs(census))
@@ -227,9 +187,7 @@ def exists_code(
         raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
     if j < 2 or l < 2:
         raise ValueError(f"need J >= 2 and L >= 2, got ({j}, {l})")
-    witness, _ = _exists_at_n(
-        j, l, n, target_girth, n, budget, 0, time.perf_counter()
-    )
+    witness, _ = _exists_at_n(j, l, n, target_girth, budget, 0)
     return (witness is not None), witness
 
 
@@ -257,9 +215,7 @@ def min_lifting_factor(
     nodes = 0
     min_n = witness = None
     for n in range(1, n_max + 1):  # the step's pre-checks pass over small N
-        witness, nodes = _exists_at_n(
-            j, l, n, target_girth, n_max, budget, nodes, start
-        )
+        witness, nodes = _exists_at_n(j, l, n, target_girth, budget, nodes)
         if witness is not None:
             if not has_girth_at_least(witness, target_girth):
                 raise RuntimeError(
@@ -276,7 +232,6 @@ def min_lifting_factor(
         witness=witness,
         nodes=nodes,
         wall_time=time.perf_counter() - start,
-        exhaustive=True,
     )
 
 

@@ -75,17 +75,15 @@ def test_criterion_01_complete_mapping_census():
 def test_criterion_02_minimal_lifting_factors():
     expected = {4: 5, 5: 5, 6: 7, 7: 7, 8: 9}
     got = {}
-    exhaustive = True
-    for l, want in expected.items():
-        r = min_lifting_factor(3, l, 6, 12)
-        got[l] = r.min_n
-        exhaustive = exhaustive and r.exhaustive
+    # a returned result is exhaustive: a search out of budget raises
+    for l in expected:
+        got[l] = min_lifting_factor(3, l, 6, 12).min_n
     record_acceptance(
         2,
         f"minimal girth-6 lifting factors at J=3 for L=4..8 are "
         f"{tuple(got[l] for l in range(4, 9))} with exhaustive nonexistence "
         "certificates below each minimum",
-        got == expected and exhaustive,
+        got == expected,
     )
 
 

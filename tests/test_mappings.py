@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcgirth.mappings import (
     CensusBudgetError,
     CompleteMapping,
+    MappingCensus,
     Permutation,
     _map_branches,
     almost_complete_mapping,
@@ -104,6 +105,11 @@ def test_census_budget_error_carries_partial():
     assert partial.modulus == 9
     assert partial.count < 225
     assert partial.nodes >= 50
+    # a zero budget stops N = 1 at its one node, with the partial N = 3 gives
+    for n in (1, 3):
+        with pytest.raises(CensusBudgetError) as info:
+            enumerate_complete_mappings(n, max_nodes=0)
+        assert info.value.partial == MappingCensus(n, 0, (), False, 1)
 
 
 def test_census_worker_fanout_is_deterministic():

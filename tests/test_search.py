@@ -2,7 +2,13 @@ from itertools import product
 
 import pytest
 
-from qcgirth.girth import count_4cycles, girth_bfs, girth_from_shifts
+from qcgirth.girth import (
+    count_4cycles,
+    girth_bfs,
+    girth_from_shifts,
+    has_girth_at_least,
+)
+from qcgirth.girth8 import verify_girth8_bound
 from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
 from qcgirth.mappings import Permutation, is_complete_mapping
 from qcgirth.search import (
@@ -14,11 +20,12 @@ from qcgirth.search import (
 )
 
 
-def brute_exists(j, l, n, girth6=True):
+def brute_exists(j, l, n, girth=6):
     """Unreduced oracle: scan every matrix with zero first row and column.
 
     Only the zero row/column reduction is assumed (a graph isomorphism);
-    the ordering reductions under test are not applied.
+    the ordering reductions under test are not applied.  Girth 8 is judged
+    by the shift-tuple oracle, which shares no code with the search masks.
     """
     free = (j - 1) * (l - 1)
     for vals in product(range(n), repeat=free):
@@ -26,7 +33,9 @@ def brute_exists(j, l, n, girth6=True):
         for r in range(j - 1):
             rows.append((0,) + vals[r * (l - 1):(r + 1) * (l - 1)])
         p = ShiftMatrix(entries=tuple(rows), lifting_factor=n)
-        if count_4cycles(p) == 0:
+        if girth == 6 and count_4cycles(p) == 0:
+            return True
+        if girth == 8 and has_girth_at_least(p, 8):
             return True
     return False
 
@@ -58,11 +67,16 @@ def test_reductions_match_unreduced_search():
     # the ordering reductions must not change existence verdicts
     for j, l, n in ((3, 4, 4), (3, 4, 5), (3, 5, 6), (4, 3, 7), (4, 3, 6)):
         assert exists_code(j, l, n, 6)[0] == brute_exists(j, l, n), (j, l, n)
+    # girth 8, where the search rejects 6-cycles too: two misses, two hits
+    for j, l, n, want in ((3, 3, 6, False), (3, 3, 7, True), (4, 3, 5, False),
+                          (4, 3, 9, True)):
+        assert exists_code(j, l, n, 8)[0] is want, (j, l, n)
+        assert brute_exists(j, l, n, girth=8) is want, (j, l, n)
 
 
 def test_min_lifting_factor_girth6():
     r = min_lifting_factor(3, 4, 6, 12)
-    assert (r.min_n, r.exhaustive) == (5, True)
+    assert r.min_n == 5
     assert r.witness.rows == 3 and r.witness.cols == 4
     assert girth_bfs(lift(r.witness), 12).girth >= 6
 
@@ -96,7 +110,6 @@ def test_min_lifting_factor_girth8():
 def test_min_lifting_factor_not_found():
     r = min_lifting_factor(3, 4, 8, 8)  # below the 2(L-1) bound
     assert r.min_n is None
-    assert r.exhaustive
 
 
 def test_min_lifting_factor_validation():
@@ -115,10 +128,30 @@ def test_min_lifting_factor_validation():
 def test_search_budget():
     with pytest.raises(SearchBudgetError) as info:
         min_lifting_factor(3, 6, 6, 7, budget=5)
-    partial = info.value.partial
-    assert partial.min_n is None
-    assert not partial.exhaustive
-    assert partial.nodes >= 5
+    assert info.value.nodes == 5
+    assert str(info.value) == "node budget exhausted after 5 nodes"
+
+
+def test_search_node_counts():
+    # the pruning may get cheaper per node, but which nodes it visits, and
+    # so these counts, must not change without a reason
+    for args, want in (
+        ((3, 4, 8, 12), (9, 2942)),
+        ((3, 5, 8, 14), (13, 217128)),
+        ((4, 6, 6, 9), (7, 2924)),
+        ((5, 6, 6, 9), (7, 9776)),
+        ((4, 9, 6, 12), (10, 20232)),
+    ):
+        r = min_lifting_factor(*args)
+        assert (r.min_n, r.nodes) == want, args
+
+
+def test_first_valid_girth8_table_matches_search():
+    # two independent routes to the J = 3, L = 4 girth-8 minimum: the
+    # L' = 3 difference-table sweep and the canonical search
+    report = verify_girth8_bound(3, 9)
+    first = min(row.n for row in report.rows if row.valid_tables)
+    assert first == min_lifting_factor(3, 4, 8, 12).min_n == 9
 
 
 def test_search_witness_survives_alist_roundtrip():

@@ -36,3 +36,21 @@ def test_trace_hooks_resolve(monkeypatch):
         )
     ]
     assert spans.WRAPPED and missing == []
+
+
+def test_benchmark_jobs_parse(monkeypatch, tmp_path):
+    # every benchmark job is a CLI command line; a CLI change that drops
+    # or renames an option it uses would otherwise only show in that run
+    from qcgirth.cli import build_parser
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    argvs = []
+    for name in workloads.WORKLOADS:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        argvs += [job.argv for job in workloads.prepare(name, str(workdir), 1)]
+    assert argvs
+    for argv in argvs:
+        parser.parse_args(argv)
