@@ -16,6 +16,13 @@ diagonal is either a single arithmetic chain with difference
 delta = x_{L'+j} - x_{L'+i}, or a shorter chain plus blocks closed under
 adding delta.  The closed-block shape yields the stronger arithmetic
 bound N >= L' + 2 + k^2 * ell checked by partition_case_bound.
+
+verify_girth8_bound sweeps every canonical table at each N.  Row headers
+are placed one row at a time in ascending order, and three bitmasks over
+Z/N (the row headers, the diagonals, and the values a new diagonal may
+not take) reject a partial table as soon as its headers break one of the
+five conditions.  Every table that survives still goes through
+validate_g8_table.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
 from .lifting import ShiftMatrix
@@ -382,31 +389,70 @@ class Girth8BoundReport:
 def _sweep_one_n(
     l_prime: int, branch: tuple[int, int]
 ) -> tuple[int, int, int, list[tuple[int, ...]]]:
-    """Enumerate the canonical tables at one N whose smallest column header
-    is first_header, for branch = (N, first_header): ascending distinct
-    nonzero column headers (column-permutation symmetry), all ordered row
-    headers.
+    """Enumerate the valid canonical tables at one N whose smallest column
+    header is first_header, for branch = (N, first_header): ascending
+    distinct nonzero column headers (column-permutation symmetry), all
+    ordered row headers.
+
+    Row headers are placed by backtracking over rows k = 0..L'-1, each
+    tried from the free nonzero residues in ascending order, so tables
+    come out in the order permutations(rest, L') gives.  Three bitmasks
+    over Z/N, passed down so that nothing is undone, reject a prefix as
+    soon as its headers break a condition: used holds the row headers
+    (condition 1), diags the diagonals, which a new row header (3) or
+    off-diagonal entry (4) may not hit, and diag_forbid the values a new
+    diagonal may not take (negated column headers, placed row headers,
+    off-diagonal entries and diagonals: 2 to 5).  The column headers are
+    fixed before any row is placed, so each condition is decided when its
+    last header is placed and no valid table is pruned.  Each survivor
+    still goes through validate_g8_table (extreme_intersection_pair runs
+    it and raises on an invalid table).
 
     Returns (N, valid tables, hypothesis tables, violations).
     """
     n, first_header = branch
     bound = 3 * l_prime - 1
+    full = (1 << n) - 1
     valid = 0
     hyp = 0
     violations: list[tuple[int, ...]] = []
-    for tail in combinations(range(first_header + 1, n), l_prime - 1):
-        cols = (first_header,) + tail
-        rest = [v for v in range(1, n) if v not in cols]
-        for rows_h in permutations(rest, l_prime):
-            t = Girth8Table(modulus=n, col_headers=cols, row_headers=rows_h)
-            if not validate_g8_table(t).valid:
-                continue
-            valid += 1
+    rows_h = [0] * l_prime
+
+    def rec(k: int, used: int, diags: int, diag_forbid: int) -> None:
+        nonlocal valid, hyp
+        if k == l_prime:
+            t = Girth8Table(modulus=n, col_headers=cols, row_headers=tuple(rows_h))
             found, _ = extreme_intersection_pair(t)
+            valid += 1
             if found:
                 hyp += 1
                 if n < bound:
-                    violations.append((n,) + cols + rows_h)
+                    violations.append((n,) + cols + t.row_headers)
+            return
+        c_k = cols[k]
+        neg = neg_others[k]
+        taken = used | diags
+        for r in rest:
+            if taken >> r & 1:
+                continue
+            d = (r - c_k) % n
+            if diag_forbid >> d & 1:
+                continue
+            # row k's off-diagonal entries r - c (c != k): neg rotated by r
+            off = ((neg << r) | (neg >> (n - r))) & full
+            if diags & off:
+                continue
+            rows_h[k] = r
+            rec(k + 1, used | 1 << r, diags | 1 << d,
+                diag_forbid | off | 1 << r | 1 << d)
+
+    for tail in combinations(range(first_header + 1, n), l_prime - 1):
+        cols = (first_header,) + tail
+        rest = [v for v in range(1, n) if v not in cols]
+        neg_cols = [1 << (-c % n) for c in cols]
+        all_neg = sum(neg_cols)
+        neg_others = [all_neg ^ b for b in neg_cols]
+        rec(0, 0, 0, all_neg)
     return n, valid, hyp, violations
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -32,7 +33,10 @@ WITNESS_9 = ShiftMatrix(
 )
 
 
+@lru_cache(maxsize=None)
 def all_valid_tables(l_prime, n):
+    """Every valid table at (L', N) in sweep order, validated one by one
+    with no pruning: the oracle for the sweep's backtracking."""
     out = []
     for cols in combinations(range(1, n), l_prime):
         rest = [v for v in range(1, n) if v not in cols]
@@ -40,7 +44,7 @@ def all_valid_tables(l_prime, n):
             t = Girth8Table(modulus=n, col_headers=cols, row_headers=rows)
             if validate_g8_table(t).valid:
                 out.append(t)
-    return out
+    return tuple(out)
 
 
 def test_build_g8_table():
@@ -371,6 +375,35 @@ def test_verify_girth8_bound_report():
     ]
     assert report.total_violations == 0
     assert report.below_bound_valid == 0
+
+
+def test_sweep_matches_brute_force():
+    # the pruned sweep against every table validated from scratch
+    sizes = [(2, n) for n in range(3, 13)] + [(3, n) for n in range(4, 12)]
+    sizes.append((4, 13))
+    for lp, n in sizes:
+        row = verify_girth8_bound(lp, n, n_min=n).rows[0]
+        tables = all_valid_tables(lp, n)
+        hits = tuple(
+            (n,) + t.col_headers + t.row_headers
+            for t in tables
+            if extreme_intersection_pair(t)[0]
+        )
+        assert (row.valid_tables, row.hypothesis_tables, row.violations) == (
+            len(tables), len(hits), hits if n < 3 * lp - 1 else ()
+        ), (lp, n)
+
+
+def test_lprime_5_frontier():
+    # the first N with a valid L'=5 table is the published J=3, L=6
+    # girth-8 minimum, 18
+    report = verify_girth8_bound(5, 18)
+    assert [r.valid_tables for r in report.rows[:-1]] == [0] * 12
+    assert [r.n for r in report.rows] == list(range(6, 19))
+    last = report.rows[-1]
+    assert (last.n, last.valid_tables, last.hypothesis_tables) == (18, 4104, 3600)
+    assert last.violations == ()
+    assert report.total_violations == 0
 
 
 def test_verify_girth8_bound_worker_fanout_is_deterministic():
