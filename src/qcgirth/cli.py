@@ -27,6 +27,7 @@ from .lifting import (
 )
 from .mappings import (
     CensusBudgetError,
+    PairsBudgetError,
     Permutation,
     compatible_pairs,
     difference_sequence,
@@ -229,7 +230,12 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
 
 def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
     census = enumerate_complete_mappings(args.n, workers=args.workers)
-    pairs = compatible_pairs(census)
+    exhausted = False
+    try:
+        pairs = compatible_pairs(census, max_checks=args.budget)
+    except PairsBudgetError as exc:
+        _note(f"error: {exc}")
+        pairs, exhausted = exc.pairs, True
     lines = [
         "pairwise-report 1",
         f"modulus {args.n}",
@@ -237,7 +243,11 @@ def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
         f"compatible-pairs {len(pairs)}",
     ]
     lines.extend(f"pair {i} {j}" for i, j in pairs)
+    if exhausted:
+        lines.append("budget-exhausted true")
     _emit("\n".join(lines) + "\n", args.output)
+    if exhausted:
+        return EXIT_BUDGET
     if args.expect_empty and pairs:
         _note(f"error: expected no compatible pairs, found {len(pairs)}")
         return EXIT_VIOLATION
@@ -350,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pw = ver_sub.add_parser("pairwise", help="mutually compatible mapping pairs")
     p_pw.add_argument("--n", type=int, required=True)
     p_pw.add_argument("--expect-empty", action="store_true")
+    p_pw.add_argument(
+        "--budget", type=int, default=None, help="pair-check budget"
+    )
     _add_common(p_pw, workers=True)
     p_pw.set_defaults(func=_cmd_verify_pairwise)
 

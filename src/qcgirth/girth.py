@@ -2,20 +2,43 @@
 
 girth_bfs works on the lifted binary matrix and knows nothing about the
 quasi-cyclic structure.  girth_from_shifts never lifts: a length-2m cycle
-exists iff there are row indices j_1..j_m and column indices l_1..l_m,
-cyclically adjacent-distinct, whose alternating shift sum
+exists iff there are row indices j_0..j_{m-1} and column indices
+l_0..l_{m-1}, cyclically adjacent-distinct, whose alternating shift sum
 
     sum_t (P[j_t][l_t] - P[j_t][l_{t+1 mod m}])  ==  0  (mod N)
 
-vanishes.  Each solution tuple is a rooted traversal of a lifted cycle;
-a cycle of length 2m lifts N ways and is traversed from 2m rooted
-orientations, so distinct cycles = tuples * N / (2m).  The two methods
-share no code and serve as oracles for each other.
+vanishes (Fossorier, IEEE Trans. IT 2004).  Each solution tuple is a
+rooted traversal of a lifted cycle; a cycle of length 2m lifts N ways and
+is traversed from 2m rooted orientations, so distinct cycles = tuples *
+N / (2m).  The two methods share no code and serve as oracles for each
+other.
+
+The shift oracle solves the condition meet-in-the-middle.  Regrouped by
+column, the sum is sum_t D_t(l_t) with D_t(l) = P[j_t][l] - P[j_{t-1}][l]
+(indices mod m).  For a fixed row sequence it splits at h = ceil(m/2)
+into two adjacent-distinct column walks, l_0..l_{h-1} and l_h..l_{m-1},
+each with a residue sum; a solution is a pair of halves whose sums add
+to 0 with l_{h-1} != l_h and l_{m-1} != l_0.  The count comes from four
+first-half tables, by sum s, by (l_0, s), by (l_{h-1}, s) and by
+(l_0, l_{h-1}, s): each second half adds the first halves of matching
+sum, less those equal at l_h or at l_{m-1}, plus those equal at both
+(inclusion-exclusion).  A length then costs O(L^ceil(m/2)) per row
+sequence instead of O(L^m).
+
+Row sequences are taken in lexicographic order.  Until one has a
+solution only an existence join runs: first halves in lexicographic
+order against second halves indexed by the sum that closes them, also
+in lexicographic order.  Its first hit is therefore the lexicographically
+first (rows, columns) solution, the tuple the witness is lifted from,
+which is the first tuple a full enumeration meets.  Counting starts at
+that row sequence, since none before it has a solution, so each length
+takes one pass, and lengths without cycles build no count tables.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import Optional
 
 from .lifting import GirthReport, ParityCheckMatrix, ShiftMatrix
@@ -152,7 +175,8 @@ def _count_cycles_graph(
     return count, first
 
 
-def _cyclic_sequences(symbols: int, length: int) -> list[tuple[int, ...]]:
+@cache
+def _cyclic_sequences(symbols: int, length: int) -> tuple[tuple[int, ...], ...]:
     """All tuples over range(symbols) with adjacent entries distinct cyclically."""
     out: list[tuple[int, ...]] = []
     seq = [0] * length
@@ -169,52 +193,123 @@ def _cyclic_sequences(symbols: int, length: int) -> list[tuple[int, ...]]:
             rec(pos + 1)
 
     rec(0)
-    return out
+    return tuple(out)
 
 
-def _shift_tuples(p: ShiftMatrix, m: int, count_all: bool):
-    """Solutions (jseq, lseq) of the length-2m cycle condition.
+def _half_walks(
+    p: ShiftMatrix, rows: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every column walk of one half cycle along rows r_0, r_1, ..., r_k.
 
-    With count_all false, returns the first solution or None; otherwise
-    returns (total, first_solution).
+    The walk picks columns c_1..c_k with c_t != c_{t-1} and sums
+    D_t(c_t) = P[r_t][c_t] - P[r_{t-1}][c_t].  Returns (columns, sum mod
+    N) for each walk, in lexicographic order of the columns.
     """
-    j_rows, l_cols, n = p.rows, p.cols, p.lifting_factor
+    n, e = p.lifting_factor, p.entries
+    steps = [
+        [b_l - a_l for a_l, b_l in zip(e[a], e[b])] for a, b in zip(rows, rows[1:])
+    ]
+    walks = [((l,), d) for l, d in enumerate(steps[0])]
+    for step in steps[1:]:
+        walks = [
+            (seq + (l,), s + d)
+            for seq, s in walks
+            for l, d in enumerate(step)
+            if l != seq[-1]
+        ]
+    return [(seq, s % n) for seq, s in walks]
+
+
+def _closing_index(
+    walks: list[tuple[tuple[int, ...], int]], n: int
+) -> dict[int, list[tuple[int, ...]]]:
+    """Second halves by the first-half sum that closes them, in walk order."""
+    index: dict[int, list[tuple[int, ...]]] = {}
+    for seq, s in walks:
+        index.setdefault(-s % n, []).append(seq)
+    return index
+
+
+def _first_join(
+    heads: list[tuple[tuple[int, ...], int]],
+    tails: dict[int, list[tuple[int, ...]]],
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first closing column sequence, or None."""
+    for seq, s in heads:
+        for rest in tails.get(s, ()):
+            if rest[0] != seq[-1] and rest[-1] != seq[0]:
+                return seq + rest
+    return None
+
+
+def _head_counts(
+    heads: list[tuple[tuple[int, ...], int]], n: int, width: int
+) -> tuple[dict[int, int], ...]:
+    """First halves counted by sum s, by (l_0, s), by (l_{h-1}, s) and by
+    (l_0, l_{h-1}, s), each key packed into one int."""
+    by_s: dict[int, int] = {}
+    by_first: dict[int, int] = {}
+    by_last: dict[int, int] = {}
+    by_both: dict[int, int] = {}
+    for seq, s in heads:
+        a, b = seq[0], seq[-1]
+        by_s[s] = by_s.get(s, 0) + 1
+        by_first[a * n + s] = by_first.get(a * n + s, 0) + 1
+        by_last[b * n + s] = by_last.get(b * n + s, 0) + 1
+        key = (a * width + b) * n + s
+        by_both[key] = by_both.get(key, 0) + 1
+    return by_s, by_first, by_last, by_both
+
+
+def _join_count(
+    counts: tuple[dict[int, int], ...],
+    tails: dict[int, list[tuple[int, ...]]],
+    n: int,
+    width: int,
+) -> int:
+    """Closing (first half, second half) pairs with l_{h-1} != l_h and
+    l_{m-1} != l_0: all pairs with matching sums, less those with
+    l_{h-1} = l_h or l_{m-1} = l_0, plus those with both."""
+    by_s, by_first, by_last, by_both = counts
+    total = 0
+    for s, rests in tails.items():
+        if s not in by_s:
+            continue
+        for rest in rests:
+            c, d = rest[0], rest[-1]
+            total += (
+                by_s[s]
+                - by_last.get(c * n + s, 0)
+                - by_first.get(d * n + s, 0)
+                + by_both.get((d * width + c) * n + s, 0)
+            )
+    return total
+
+
+def _cycle_tuples(
+    p: ShiftMatrix, m: int, count_all: bool
+) -> tuple[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """(number, first) of the solutions (jseq, lseq) of the length-2m cycle
+    condition in one pass; first is None when there is none.
+
+    With count_all false, returns at the first solution, with number 1.
+    """
+    n, width, h = p.lifting_factor, p.cols, (m + 1) // 2
     total = 0
     first = None
-    for jseq in _cyclic_sequences(j_rows, m):
-        lseq = [0] * m
-
-        def rec(pos: int, acc: int):
-            nonlocal total, first
-            if pos == m:
-                if lseq[0] == lseq[-1]:
-                    return False
-                closing = acc + p.entries[jseq[m - 1]][lseq[m - 1]] \
-                    - p.entries[jseq[m - 1]][lseq[0]]
-                if closing % n == 0:
-                    total += 1
-                    if first is None:
-                        first = (jseq, tuple(lseq))
-                    if not count_all:
-                        return True
-                return False
-            for l in range(l_cols):
-                if pos > 0 and l == lseq[pos - 1]:
-                    continue
-                lseq[pos] = l
-                step = 0
-                if pos > 0:
-                    step = p.entries[jseq[pos - 1]][lseq[pos - 1]] \
-                        - p.entries[jseq[pos - 1]][l]
-                if rec(pos + 1, acc + step):
-                    return True
-            return False
-
-        if rec(0, 0) and not count_all:
-            return first
-    if count_all:
-        return total, first
-    return first
+    for jseq in _cyclic_sequences(p.rows, m):
+        ring = jseq[-1:] + jseq  # ring[t] = j_{t-1}
+        heads = _half_walks(p, ring[: h + 1])
+        tails = _closing_index(_half_walks(p, ring[h:]), n)
+        if first is None:
+            lseq = _first_join(heads, tails)
+            if lseq is None:
+                continue
+            first = (jseq, lseq)
+            if not count_all:
+                return 1, first
+        total += _join_count(_head_counts(heads, n, width), tails, n, width)
+    return total, first
 
 
 def _witness_from_tuple(
@@ -238,10 +333,9 @@ def girth_from_shifts(p: ShiftMatrix, cap: int = 12) -> GirthReport:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
     n = p.lifting_factor
     for m in range(2, cap // 2 + 1):
-        hit = _shift_tuples(p, m, count_all=False)
-        if hit is None:
+        total, first = _cycle_tuples(p, m, count_all=True)
+        if first is None:
             continue
-        total, first = _shift_tuples(p, m, count_all=True)
         girth = 2 * m
         if total * n % girth:
             raise RuntimeError(
@@ -297,6 +391,6 @@ def has_girth_at_least(p: ShiftMatrix, g: int) -> bool:
     if g not in (6, 8, 10, 12):
         raise ValueError(f"g must be one of 6, 8, 10, 12, got {g}")
     for m in range(2, (g - 2) // 2 + 1):
-        if _shift_tuples(p, m, count_all=False) is not None:
+        if _cycle_tuples(p, m, count_all=False)[1] is not None:
             return False
     return True

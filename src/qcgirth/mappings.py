@@ -30,6 +30,17 @@ class CensusBudgetError(RuntimeError):
         self.partial = partial
 
 
+class PairsBudgetError(RuntimeError):
+    """The pair scan ran out of check budget; carries the pairs found so far."""
+
+    def __init__(self, pairs: list[tuple[int, int]], checks: int):
+        super().__init__(
+            f"check budget exhausted after {checks} pair checks "
+            f"({len(pairs)} compatible pairs so far)"
+        )
+        self.pairs = pairs
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on Z/N stored as the image sequence (p(0), ..., p(N-1))."""
@@ -292,11 +303,15 @@ def is_complete_mapping_of(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
     return len({(row_b[i] - row_a[i]) % n for i in range(n)}) == n
 
 
-def compatible_pairs(census: MappingCensus) -> list[tuple[int, int]]:
+def compatible_pairs(
+    census: MappingCensus, max_checks: Optional[int] = None
+) -> list[tuple[int, int]]:
     """Unordered index pairs of census witnesses that are complete mappings
     of each other.
 
-    Requires the census to retain every witness.
+    Requires the census to retain every witness.  Pairs are checked in
+    order; after max_checks checks, raises PairsBudgetError carrying the
+    pairs found so far.
     """
     if census.truncated or len(census.samples) != census.count:
         raise ValueError("census lacks full witnesses; rerun without a limit")
@@ -305,10 +320,17 @@ def compatible_pairs(census: MappingCensus) -> list[tuple[int, int]]:
     n = census.modulus
     out = []
     rows = [m.images for m in census.samples]
+    checks = 0
     for i, row_a in enumerate(rows):
-        for j in range(i + 1, len(rows)):
+        stop = len(rows)
+        if max_checks is not None:
+            stop = min(stop, i + 1 + max_checks - checks)
+        for j in range(i + 1, stop):
             if len({(b - a) % n for a, b in zip(row_a, rows[j])}) == n:
                 out.append((i, j))
+        if stop < len(rows):
+            raise PairsBudgetError(out, max_checks)
+        checks += stop - i - 1
     return out
 
 

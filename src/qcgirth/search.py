@@ -18,7 +18,6 @@ as soon as one of its row-pair differences hits that pair's mask.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Optional
@@ -57,7 +56,6 @@ class SearchResult:
     min_n: Optional[int]
     witness: Optional[ShiftMatrix]
     nodes: int
-    wall_time: float
 
 
 def _exists_at_n(
@@ -211,7 +209,6 @@ def min_lifting_factor(
         raise ValueError(f"girth-8 search needs L >= 4, got {l}")
     if not 3 <= j <= 5:
         raise ValueError(f"J must be in [3, 5], got {j}")
-    start = time.perf_counter()
     nodes = 0
     min_n = witness = None
     for n in range(1, n_max + 1):  # the step's pre-checks pass over small N
@@ -231,7 +228,6 @@ def min_lifting_factor(
         min_n=min_n,
         witness=witness,
         nodes=nodes,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -237,6 +237,30 @@ def test_verify_pairwise_expect_empty_violation(capsys):
     assert "expected no compatible pairs" in err
 
 
+def test_verify_pairwise_budget(capsys):
+    # 225 mappings of Z/9 make 25200 pair checks; the budget stops the scan
+    # early with the (empty) pairs so far and the trailing line
+    code, out, err = run(capsys, ["verify", "pairwise", "--n", "9",
+                                  "--expect-empty", "--budget", "1000"])
+    assert code == EXIT_BUDGET
+    assert out == (
+        "pairwise-report 1\nmodulus 9\nmappings 225\ncompatible-pairs 0\n"
+        "budget-exhausted true\n"
+    )
+    assert "after 1000 pair checks" in err
+    # at N = 5 the third check finds the third pair
+    code, out, _ = run(capsys, ["verify", "pairwise", "--n", "5", "--budget", "2"])
+    assert code == EXIT_BUDGET
+    assert out == (
+        "pairwise-report 1\nmodulus 5\nmappings 3\ncompatible-pairs 2\n"
+        "pair 0 1\npair 0 2\nbudget-exhausted true\n"
+    )
+    # a budget that covers every check leaves the report unchanged
+    code, full, _ = run(capsys, ["verify", "pairwise", "--n", "5", "--budget", "3"])
+    assert code == EXIT_OK
+    assert full == run(capsys, ["verify", "pairwise", "--n", "5"])[1]
+
+
 def test_verify_girth8_bound(capsys):
     code, out, err = run(capsys, ["verify", "girth8-bound", "--lprime", "3",
                                   "--n-max", "9"])

@@ -1,11 +1,13 @@
 import random
-from itertools import permutations
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgirth.girth import (
+    _cycle_tuples,
+    _witness_from_tuple,
     count_4cycles,
     count_4cycles_graph,
     girth_bfs,
@@ -38,6 +40,73 @@ def brute_4cycles(h):
                     if v1 in rows[r2] and v2 in rows[r2]:
                         count += 1
     return count
+
+
+def brute_shift_tuples(p, m, count_all):
+    """In-test oracle: every alternating (row, column) tuple of length 2m.
+
+    With count_all false, returns the first solution or None; otherwise
+    returns (total, first_solution).  Solutions come in lexicographic
+    (jseq, lseq) order.
+    """
+    j_rows, l_cols, n = p.rows, p.cols, p.lifting_factor
+    total = 0
+    first = None
+    for jseq in product(range(j_rows), repeat=m):
+        if any(jseq[t] == jseq[t - 1] for t in range(m)):
+            continue
+        lseq = [0] * m
+
+        def rec(pos, acc):
+            nonlocal total, first
+            if pos == m:
+                if lseq[0] == lseq[-1]:
+                    return False
+                closing = acc + p.entries[jseq[m - 1]][lseq[m - 1]] \
+                    - p.entries[jseq[m - 1]][lseq[0]]
+                if closing % n == 0:
+                    total += 1
+                    if first is None:
+                        first = (jseq, tuple(lseq))
+                    if not count_all:
+                        return True
+                return False
+            for l in range(l_cols):
+                if pos > 0 and l == lseq[pos - 1]:
+                    continue
+                lseq[pos] = l
+                step = 0
+                if pos > 0:
+                    step = p.entries[jseq[pos - 1]][lseq[pos - 1]] \
+                        - p.entries[jseq[pos - 1]][l]
+                if rec(pos + 1, acc + step):
+                    return True
+            return False
+
+        if rec(0, 0) and not count_all:
+            return first
+    if count_all:
+        return total, first
+    return first
+
+
+def brute_girth(p, cap):
+    """(girth, shortest cycles, witness) from the tuple enumeration."""
+    n = p.lifting_factor
+    for m in range(2, cap // 2 + 1):
+        if brute_shift_tuples(p, m, count_all=False) is None:
+            continue
+        total, (jseq, lseq) = brute_shift_tuples(p, m, count_all=True)
+        return 2 * m, total * n // (2 * m), _witness_from_tuple(p, jseq, lseq)
+    return None, 0, None
+
+
+def random_shift_matrix(rng, j_range, l_range, n_range):
+    j, l, n = rng.randint(*j_range), rng.randint(*l_range), rng.randint(*n_range)
+    return ShiftMatrix(
+        entries=tuple(tuple(rng.randrange(n) for _ in range(l)) for _ in range(j)),
+        lifting_factor=n,
+    )
 
 
 def test_product_construction_girths():
@@ -172,3 +241,63 @@ def test_girth_invariant_under_normalize_and_column_permutation(j, l, n, rng):
         == normalized.shortest_cycle_count
         == permuted.shortest_cycle_count
     )
+
+
+def test_shift_oracle_matches_tuple_enumeration():
+    # the half-walk join against the enumeration it replaced: girth, count
+    # and witness at cap 12, and existence below each g of has_girth_at_least
+    rng = random.Random(2004)
+    for _ in range(300):
+        p = random_shift_matrix(rng, (2, 4), (2, 8), (2, 60))
+        report = girth_from_shifts(p, 12)
+        assert (report.girth, report.shortest_cycle_count, report.witness) == \
+            brute_girth(p, 12)
+        for g in (6, 8, 10, 12):
+            brute = all(
+                brute_shift_tuples(p, m, count_all=False) is None
+                for m in range(2, g // 2)
+            )
+            assert has_girth_at_least(p, g) == brute
+    # m = 7 and 8 split into halves of 4 + 3 and 4 + 4 columns; past the
+    # girth the tuples include longer closed walks, which both count
+    for _ in range(40):
+        p = random_shift_matrix(rng, (2, 3), (2, 3), (2, 9))
+        for m in (2, 3, 4, 5, 6, 7, 8):
+            assert _cycle_tuples(p, m, count_all=True) == \
+                brute_shift_tuples(p, m, count_all=True)
+            first = brute_shift_tuples(p, m, count_all=False)
+            assert _cycle_tuples(p, m, count_all=False) == \
+                ((0, None) if first is None else (1, first))
+    # 2 x 2 matrices reach girth 16 through a net shift of order 4
+    for n in (4, 8, 12):
+        for entries in (((0, 0), (0, n // 4)), ((0, 1), (2, 3 * n // 4 + 3))):
+            p = ShiftMatrix(entries=entries, lifting_factor=n)
+            report = girth_from_shifts(p, 16)
+            assert (report.girth, report.shortest_cycle_count, report.witness) == \
+                brute_girth(p, 16)
+
+
+# two of the girth-10 4 x 8 matrices of the benchmark's large-N jobs,
+# without its seeded transform; witnesses recorded from the tuple enumeration
+LARGE_N_CASES = (
+    (10007, ((0, 0, 0, 0, 0, 0, 0, 0),
+             (0, 9273, 3175, 2183, 4229, 4783, 5583, 1040),
+             (0, 9761, 400, 8735, 5035, 7748, 8999, 4296),
+             (0, 7293, 9121, 2794, 3315, 1879, 3103, 4467)),
+     230161, ("v20014", "c0", "v50035", "c15231", "v49481", "c9453", "v79502",
+              "c18420", "v64031", "c30907")),
+    (20011, ((0, 0, 0, 0, 0, 0, 0, 0),
+             (0, 1236, 2491, 13191, 18382, 2855, 7223, 19772),
+             (0, 17244, 12869, 14009, 5267, 13060, 3964, 18786),
+             (0, 19285, 3635, 17145, 1646, 17534, 8758, 5871)),
+     320176, ("v20011", "c0", "v40022", "c37531", "v95935", "c15891", "v155968",
+              "c57138", "v82416", "c60759")),
+)
+
+
+@pytest.mark.parametrize("n, entries, cycles, witness", LARGE_N_CASES)
+def test_large_n_shift_oracle(n, entries, cycles, witness):
+    report = girth_from_shifts(ShiftMatrix(entries=entries, lifting_factor=n), 12)
+    assert report.girth == 10
+    assert report.shortest_cycle_count == cycles
+    assert report.witness == witness
