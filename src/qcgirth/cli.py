@@ -143,6 +143,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     parity = lift(matrix)
     report = girth_bfs(parity, cap=12)
+    if report.girth != 6:
+        shown = "infinite" if report.girth is None else report.girth
+        _note(f"error: the lifted-graph oracle finds girth {shown}, not 6")
+        return EXIT_VIOLATION
     _note(f"girth {report.girth} verified by the lifted-graph oracle")
     if args.alist:
         text = export_alist(parity)
@@ -216,6 +220,9 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
                 mismatch = True
             shown_min = "none" if result.min_n is None else str(result.min_n)
             lines.append(f"L {l} min-n {shown_min} expected {shown} {status}")
+    except ValueError as exc:
+        _note(f"error: {exc}")
+        return EXIT_USAGE
     except SearchBudgetError as exc:
         _note(f"error: {exc}")
         lines.append("budget-exhausted true")
@@ -229,7 +236,11 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
-    census = enumerate_complete_mappings(args.n, workers=args.workers)
+    try:
+        census = enumerate_complete_mappings(args.n, workers=args.workers)
+    except ValueError as exc:
+        _note(f"error: {exc}")
+        return EXIT_USAGE
     exhausted = False
     try:
         pairs = compatible_pairs(census, max_checks=args.budget)
@@ -256,9 +267,13 @@ def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    report = verify_girth8_bound(
-        args.lprime, args.n_max, n_min=args.n_min, workers=args.workers
-    )
+    try:
+        report = verify_girth8_bound(
+            args.lprime, args.n_max, n_min=args.n_min, workers=args.workers
+        )
+    except ValueError as exc:
+        _note(f"error: {exc}")
+        return EXIT_USAGE
     _note(f"sweep took {time.perf_counter() - started:.3f}s")
     _emit(export_girth8_bound_report(report), args.output)
     if report.total_violations:
@@ -270,9 +285,13 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     bound = 3 * args.lprime - 1
     n_max = args.n_max if args.n_max is not None else bound - 1
-    report = verify_girth8_bound(
-        args.lprime, n_max, n_min=args.n_min, workers=args.workers
-    )
+    try:
+        report = verify_girth8_bound(
+            args.lprime, n_max, n_min=args.n_min, workers=args.workers
+        )
+    except ValueError as exc:
+        _note(f"error: {exc}")
+        return EXIT_USAGE
     lines = [
         "girth8-conjecture-report 1",
         f"lprime {args.lprime}",

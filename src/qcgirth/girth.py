@@ -1,9 +1,31 @@
 """Tanner-graph girth by two independent methods, plus 4-cycle counting.
 
 girth_bfs works on the lifted binary matrix and knows nothing about the
-quasi-cyclic structure.  girth_from_shifts never lifts: a length-2m cycle
-exists iff there are row indices j_0..j_{m-1} and column indices
-l_0..l_{m-1}, cyclically adjacent-distinct, whose alternating shift sum
+quasi-cyclic structure.  It runs a breadth-first search from every
+vertex, level by level (Itai & Rodeh, SIAM J. Comput. 1978).  The Tanner
+graph is bipartite, so a neighbour of a level-d vertex lies on level
+d - 1 or d + 1.  Expanding level d closes a cycle when it reaches some
+vertex x of level d + 1 twice: the two root-x paths form a closed walk
+of length 2d + 2, which holds a cycle of at most that length.  A root's
+search stops after the first level that closes, or before a level that
+could only close cycles longer than the shortest found so far (cap
+until one is found).
+
+When the girth is g = 2d + 2, two distinct shortest paths of length g/2
+from a root s to x share no vertex but s and x, since otherwise they
+would close a shorter cycle.  So they form a g-cycle through s with x as
+its antipode, and each g-cycle through s is split this way by exactly
+one antipode.  The roots whose search closes at g are therefore exactly
+the vertices on a shortest cycle, and the g-cycles through s number
+sum_x C(sigma(x), 2), where x runs over level g/2 and sigma(x) counts
+the shortest s-x paths (Halford & Chugg, IEEE Trans. IT 2006).  Summed
+over every root, this counts each g-cycle once per vertex on it, g times
+in all.  The witness is the first cycle a canonical DFS meets from the
+smallest such root.
+
+girth_from_shifts never lifts: a length-2m cycle exists iff there are
+row indices j_0..j_{m-1} and column indices l_0..l_{m-1}, cyclically
+adjacent-distinct, whose alternating shift sum
 
     sum_t (P[j_t][l_t] - P[j_t][l_{t+1 mod m}])  ==  0  (mod N)
 
@@ -37,7 +59,6 @@ takes one pass, and lengths without cycles build no count tables.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cache
 from typing import Optional
 
@@ -63,49 +84,70 @@ def _label(v: int, n_checks: int) -> str:
 def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
     """Exact girth if <= cap via BFS from every node, else infinite.
 
-    Counts distinct shortest cycles as edge sets and returns one witness.
+    Counts distinct shortest cycles as edge sets from shortest-path
+    counts and returns one witness (see the module docstring).
     """
     if cap < 4 or cap % 2:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
     adj = _adjacency(h)
-    size = len(adj)
     girth: Optional[int] = None
-    through: list[Optional[int]] = [None] * size  # best candidate through root
-
-    for root in range(size):
-        dist = [-1] * size
-        parent = [-1] * size
-        dist[root] = 0
-        queue = deque([root])
-        best: Optional[int] = None
-        while queue:
-            u = queue.popleft()
-            if dist[u] * 2 >= cap:  # deeper levels cannot find cycles <= cap
-                continue
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u] and dist[w] >= dist[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-        through[root] = best
-        if best is not None and best <= cap and (girth is None or best < girth):
-            girth = best
+    first = -1  # smallest vertex on a cycle of length girth
+    pairs = 0  # rooted shortest cycles: each cycle once per vertex on it
+    for root in range(len(adj)):
+        found = _root_cycles(adj, root, cap if girth is None else girth)
+        if found is None:
+            continue
+        length, through = found
+        if girth is None or length < girth:
+            girth, first, pairs = length, root, 0
+        pairs += through
     if girth is None:
         return GirthReport(girth=None, shortest_cycle_count=0, cap=cap, method="bfs")
-
-    count, witness = _count_cycles_graph(adj, girth, through)
-    labeled = _orient_witness(witness, h.n_rows)
+    if pairs % girth:
+        raise RuntimeError(f"{pairs} rooted cycles do not split into {girth}-cycles")
     return GirthReport(
         girth=girth,
-        shortest_cycle_count=count,
+        shortest_cycle_count=pairs // girth,
         cap=cap,
         method="bfs",
-        witness=labeled,
+        witness=_orient_witness(_first_cycle(adj, girth, first), h.n_rows),
     )
+
+
+def _root_cycles(
+    adj: list[list[int]], root: int, bound: int
+) -> Optional[tuple[int, int]]:
+    """(2d + 2, pairs) for the first level d whose expansion from root
+    reaches a vertex of level d + 1 twice, if 2d + 2 <= bound, else None.
+
+    sigma(x) counts the shortest paths from root to x.  The closing level
+    is expanded to the end, and pairs is the sum of C(sigma(x), 2) over
+    the vertices x of level d + 1.
+    """
+    size = len(adj)
+    dist = [-1] * size
+    sigma = [0] * size
+    dist[root], sigma[root] = 0, 1
+    level = [root]
+    d = 0
+    while level and 2 * d + 2 <= bound:
+        nxt = []
+        closed = False
+        for u in level:
+            paths = sigma[u]
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d + 1
+                    sigma[w] = paths
+                    nxt.append(w)
+                elif dist[w] > d:
+                    sigma[w] += paths
+                    closed = True
+        if closed:
+            return 2 * d + 2, sum(sigma[x] * (sigma[x] - 1) for x in nxt) // 2
+        level = nxt
+        d += 1
+    return None
 
 
 def _orient_witness(cycle: list[int], n_checks: int) -> tuple[str, ...]:
@@ -115,64 +157,45 @@ def _orient_witness(cycle: list[int], n_checks: int) -> tuple[str, ...]:
     return tuple(_label(v, n_checks) for v in rotated)
 
 
-def _count_cycles_graph(
-    adj: list[list[int]], girth: int, through: list[Optional[int]]
-) -> tuple[int, list[int]]:
-    """Count length-girth cycles once each by canonical DFS.
+def _first_cycle(adj: list[list[int]], girth: int, s: int) -> list[int]:
+    """The first length-girth cycle with minimum vertex s, by canonical DFS.
 
-    A cycle is counted at its minimum vertex s, walking only vertices > s,
-    with the reflection killed by requiring second vertex < last vertex.
-    BFS distances from s prune paths that cannot close within the budget.
+    The walk visits only vertices > s, and kills the reflection by
+    requiring second vertex < last vertex.  BFS distances from s prune
+    paths that cannot close within the budget.
     """
-    size = len(adj)
-    count = 0
-    first: list[int] = []
-    for s in range(size):
-        if through[s] is None or through[s] != girth:
-            continue  # no shortest cycle passes through s
-        dist = [-1] * size
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= girth // 2:
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    level = [s]
+    for d in range(1, girth // 2 + 1):
+        nxt = []
+        for u in level:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        level = nxt
+    root_adj = set(adj[s])
+    path = [s]
+
+    def dfs(u: int, depth: int) -> bool:
+        if depth == girth - 1:
+            return u in root_adj and path[1] < u
+        for w in adj[u]:
+            if w <= s or w in path:
                 continue
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        root_adj = set(adj[s])
-        path = [s]
-        on_path = {s}
+            d = dist[w]
+            if d == -1 or d > min(depth + 1, girth - depth - 1):
+                continue
+            path.append(w)
+            if dfs(w, depth + 1):
+                return True
+            path.pop()
+        return False
 
-        def dfs(u: int, depth: int) -> None:
-            nonlocal count
-            if depth == girth - 1:
-                if u in root_adj and path[1] < u:
-                    count += 1
-                    if not first:
-                        first.extend(path)
-                return
-            for w in adj[u]:
-                if w <= s or w in on_path:
-                    continue
-                d = dist[w]
-                if d == -1 or d > min(depth + 1, girth - depth - 1):
-                    continue
-                path.append(w)
-                on_path.add(w)
-                dfs(w, depth + 1)
-                path.pop()
-                on_path.discard(w)
-
-        for w in adj[s]:
-            if w > s:
-                path.append(w)
-                on_path.add(w)
-                dfs(w, 1)
-                path.pop()
-                on_path.discard(w)
-    return count, first
+    if not dfs(s, 0):
+        raise RuntimeError(f"no {girth}-cycle has minimum vertex {s}")
+    return path
 
 
 @cache

@@ -7,7 +7,7 @@ from qcgirth.cli import (
     EXIT_VIOLATION,
     main,
 )
-from qcgirth.lifting import export_alist, export_shift_matrix, lift
+from qcgirth.lifting import GirthReport, export_alist, export_shift_matrix, lift
 from qcgirth.search import girth6_odd_L_explicit
 
 
@@ -117,6 +117,21 @@ def test_construct_rejects_bad_multiplier(capsys):
     code, _, err = run(capsys, ["construct", "product", "--l", "9", "--h", "3"])
     assert code == EXIT_USAGE
     assert "gcd" in err
+
+
+def test_construct_fails_when_the_oracle_disagrees(tmp_path, capsys, monkeypatch):
+    def girth_four(parity, cap):
+        return GirthReport(girth=4, shortest_cycle_count=5, cap=cap, method="bfs")
+
+    monkeypatch.setattr("qcgirth.cli.girth_bfs", girth_four)
+    code, out, err = run(capsys, ["construct", "product", "--l", "5"])
+    assert (code, out) == (EXIT_VIOLATION, "")
+    assert "error" in err and "girth 4" in err and "verified" not in err
+    target = tmp_path / "p.alist"
+    code, out, _ = run(capsys, ["construct", "product", "--l", "5", "--alist",
+                                "--output", str(target)])
+    assert (code, out) == (EXIT_VIOLATION, "")
+    assert not target.exists()
 
 
 def test_construct_even_l(capsys):
@@ -285,6 +300,19 @@ def test_verify_girth8_conjecture(capsys):
         "N 4 valid 0\nN 5 valid 0\nN 6 valid 0\nN 7 valid 0\n"
         "below-bound-valid 0\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "pairwise", "--n", "0"], "modulus must be >= 1"),
+    (["verify", "girth8-bound", "--lprime", "0", "--n-max", "3"], "L' >= 2"),
+    (["verify", "girth8-conjecture", "--lprime", "1"], "L' >= 2"),
+    (["verify", "min-lift", "--j", "1", "--l-min", "2", "--l-max", "2"], "L >= 3"),
+], ids=["pairwise", "girth8-bound", "girth8-conjecture", "min-lift"])
+def test_verify_rejects_bad_input_as_usage_error(capsys, argv, message):
+    # exit 1 would claim a verified property was violated
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

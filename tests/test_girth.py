@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from qcgirth.girth import (
     girth_from_shifts,
     has_girth_at_least,
 )
-from qcgirth.lifting import ShiftMatrix, canonical_from_mapping, lift
+from qcgirth.lifting import ParityCheckMatrix, ShiftMatrix, canonical_from_mapping, lift
 from qcgirth.mappings import almost_complete_mapping, product_mapping
 
 
@@ -99,6 +100,93 @@ def brute_girth(p, cap):
         total, (jseq, lseq) = brute_shift_tuples(p, m, count_all=True)
         return 2 * m, total * n // (2 * m), _witness_from_tuple(p, jseq, lseq)
     return None, 0, None
+
+
+def brute_girth_bfs(h, cap):
+    """In-test oracle: (girth, shortest cycles, witness) by a full-depth BFS
+    from every vertex and a canonical DFS over every shortest cycle.
+
+    Every root searches to depth cap/2 and records the shortest closed
+    walk it sees; cycles are listed at their minimum vertex, walking only
+    larger vertices with second vertex < last vertex.
+    """
+    m = h.n_rows
+    adj = [[] for _ in range(m + h.n_cols)]
+    for r, c in h.adjacency:
+        adj[r].append(m + c)
+        adj[m + c].append(r)
+    for lst in adj:
+        lst.sort()
+    size = len(adj)
+    girth = None
+    through = [None] * size
+    for root in range(size):
+        dist = [-1] * size
+        parent = [-1] * size
+        dist[root] = 0
+        queue = deque([root])
+        best = None
+        while queue:
+            u = queue.popleft()
+            if dist[u] * 2 >= cap:
+                continue
+            for w in adj[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u] and dist[w] >= dist[u]:
+                    cand = dist[u] + dist[w] + 1
+                    if best is None or cand < best:
+                        best = cand
+        through[root] = best
+        if best is not None and best <= cap and (girth is None or best < girth):
+            girth = best
+    if girth is None:
+        return None, 0, None
+
+    count = 0
+    first = []
+    for s in range(size):
+        if through[s] != girth:
+            continue
+        dist = [-1] * size
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= girth // 2:
+                continue
+            for w in adj[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        root_adj = set(adj[s])
+        path = [s]
+
+        def dfs(u, depth):
+            nonlocal count
+            if depth == girth - 1:
+                if u in root_adj and path[1] < u:
+                    count += 1
+                    if not first:
+                        first.extend(path)
+                return
+            for w in adj[u]:
+                if w <= s or w in path:
+                    continue
+                d = dist[w]
+                if d == -1 or d > min(depth + 1, girth - depth - 1):
+                    continue
+                path.append(w)
+                dfs(w, depth + 1)
+                path.pop()
+
+        dfs(s, 0)
+    start = next(i for i, v in enumerate(first) if v >= m)
+    rotated = first[start:] + first[:start]
+    witness = tuple(f"c{v}" if v < m else f"v{v - m}" for v in rotated)
+    return girth, count, witness
 
 
 def random_shift_matrix(rng, j_range, l_range, n_range):
@@ -275,6 +363,80 @@ def test_shift_oracle_matches_tuple_enumeration():
             report = girth_from_shifts(p, 16)
             assert (report.girth, report.shortest_cycle_count, report.witness) == \
                 brute_girth(p, 16)
+
+
+def random_tanner_graph(rng):
+    """(kind, ParityCheckMatrix) of a small random bipartite graph with no
+    quasi-cyclic structure: a tree, one 2k-cycle with trees hanging off
+    it, a random graph, or two of these side by side (disconnected)."""
+
+    def tree_edges(size, attach, kinds):
+        # grows nodes one at a time, each hung off an earlier node (or a
+        # node of attach) and on the other side from it
+        edges = []
+        nodes = list(attach)
+        for _ in range(size):
+            kind, idx = rng.choice(nodes) if nodes else ("c", -1)
+            side = "v" if kind == "c" else "c"
+            new = (side, kinds[side])
+            kinds[side] += 1
+            if idx >= 0:
+                edges.append((idx, new[1]) if kind == "c" else (new[1], idx))
+            nodes.append(new)
+        return edges
+
+    def one(kind):
+        kinds = {"c": 0, "v": 0}
+        if kind == "tree":
+            edges = tree_edges(rng.randint(1, 25), (), kinds)
+        elif kind == "ring":
+            k = rng.randint(2, 8)
+            kinds.update(c=k, v=k)
+            edges = [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
+            ring = [("c", i) for i in range(k)] + [("v", i) for i in range(k)]
+            edges += tree_edges(rng.randint(0, 8), ring, kinds)
+        else:
+            kinds.update(c=rng.randint(1, 12), v=rng.randint(1, 16))
+            density = rng.uniform(0.05, 0.5)
+            edges = [(r, c) for r in range(kinds["c"]) for c in range(kinds["v"])
+                     if rng.random() < density]
+        return kinds["c"], kinds["v"], edges
+
+    kind = rng.choice(("tree", "ring", "random", "split"))
+    if kind != "split":
+        m, n, edges = one(kind)
+    else:
+        m, n, edges = one(rng.choice(("tree", "ring", "random")))
+        m2, n2, edges2 = one(rng.choice(("tree", "ring", "random")))
+        edges += [(m + r, n + c) for r, c in edges2]
+        m, n = m + m2, n + n2
+    return kind, ParityCheckMatrix(m, n, frozenset(edges))
+
+
+def test_bfs_oracle_matches_full_depth_search():
+    # the level-stopped search with path counts against the full-depth
+    # BFS and DFS cycle listing it replaced: girth, count and witness
+    rng = random.Random(1978)
+    for _ in range(120):
+        p = random_shift_matrix(rng, (2, 4), (2, 6), (2, 20))
+        h, cap = lift(p), rng.choice((4, 6, 8, 10, 12, 14))
+        report = girth_bfs(h, cap)
+        assert (report.girth, report.shortest_cycle_count, report.witness) == \
+            brute_girth_bfs(h, cap)
+    seen = {"tree": 0, "split": 0, "at cap": 0, "above cap": 0}
+    for _ in range(400):
+        kind, h = random_tanner_graph(rng)
+        seen[kind] = seen.get(kind, 0) + 1
+        for cap in (4, 6, 8, 10, 12, 14):
+            report = girth_bfs(h, cap)
+            brute = brute_girth_bfs(h, cap)
+            assert (report.girth, report.shortest_cycle_count, report.witness) == \
+                brute, (kind, sorted(h.adjacency), cap)
+            if brute[0] == cap:
+                seen["at cap"] += 1
+            elif brute[0] is None and brute_girth_bfs(h, 16)[0] is not None:
+                seen["above cap"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # two of the girth-10 4 x 8 matrices of the benchmark's large-N jobs,

@@ -54,3 +54,37 @@ def test_benchmark_jobs_parse(monkeypatch, tmp_path):
     assert argvs
     for argv in argvs:
         parser.parse_args(argv)
+
+
+def _reached_functions(path, root):
+    """Module-level functions of path that root reaches by name, root included."""
+    tree = ast.parse(path.read_text())
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [
+            node.id
+            for node in ast.walk(defs[name])
+            if isinstance(node, ast.Name) and node.id in defs
+        ]
+    return reached
+
+
+def test_oracles_share_no_code():
+    # the two girth oracles and the two girth-8 validity routes check each
+    # other only while neither calls into the other's helpers
+    for module, first, second in (
+        ("girth.py", "girth_bfs", "girth_from_shifts"),
+        ("girth8.py", "validate_g8_table", "check_girth8_conditions"),
+    ):
+        a = _reached_functions(SRC / module, first)
+        b = _reached_functions(SRC / module, second)
+        assert first in a and second in b and a.isdisjoint(b), (module, a & b)
