@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .girth import girth_bfs, girth_from_shifts
 from .girth8 import export_girth8_bound_report, verify_girth8_bound
 from .lifting import (
-    AlistParseError,
     GirthReport,
     export_alist,
     export_girth_report,
@@ -73,12 +72,8 @@ def _note(message: str) -> None:
 
 def _cmd_mappings(args: argparse.Namespace) -> int:
     if args.action == "check":
-        try:
-            images = tuple(int(tok) for tok in args.images.split(","))
-            perm = Permutation(images)
-        except ValueError as exc:
-            _note(f"error: {exc}")
-            return EXIT_USAGE
+        images = tuple(int(tok) for tok in args.images.split(","))
+        perm = Permutation(images)
         if perm.modulus % 2 == 0:
             _note("note: even modulus, no complete mapping exists at this order")
         complete = is_complete_mapping(perm)
@@ -129,18 +124,14 @@ def _cmd_mappings(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "product":
-            matrix = girth6_odd_L_explicit(args.l, args.h)
-        elif args.kind == "array":
-            matrix = girth6_odd_L_explicit(args.l, 2)
-        elif args.kind == "reversal":
-            matrix = girth6_odd_L_explicit(args.l, args.l - 1)
-        else:  # even-l
-            matrix = girth6_even_L(args.l)
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+    if args.kind == "product":
+        matrix = girth6_odd_L_explicit(args.l, args.h)
+    elif args.kind == "array":
+        matrix = girth6_odd_L_explicit(args.l, 2)
+    elif args.kind == "reversal":
+        matrix = girth6_odd_L_explicit(args.l, args.l - 1)
+    else:  # even-l
+        matrix = girth6_even_L(args.l)
     parity = lift(matrix)
     report = girth_bfs(parity, cap=12)
     if report.girth != 6:
@@ -167,7 +158,7 @@ def _cmd_girth(args: argparse.Namespace) -> int:
     try:
         matrix = import_shift_matrix(text) if is_shift else None
         parity = None if is_shift else import_alist(text)
-    except (ValueError, AlistParseError) as exc:
+    except ValueError as exc:  # AlistParseError included
         _note(f"error: {args.input}: {exc}")
         return EXIT_USAGE
     if args.method in ("shifts", "both") and not is_shift:
@@ -215,14 +206,14 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
                 status, shown = "-", "-"
             elif result.min_n == expected:
                 status, shown = "ok", str(expected)
+            elif result.min_n is None and args.n_max < expected:
+                # the search stopped below the reference; nothing contradicts it
+                status, shown = "unreached", str(expected)
             else:
                 status, shown = "mismatch", str(expected)
                 mismatch = True
             shown_min = "none" if result.min_n is None else str(result.min_n)
             lines.append(f"L {l} min-n {shown_min} expected {shown} {status}")
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
     except SearchBudgetError as exc:
         _note(f"error: {exc}")
         lines.append("budget-exhausted true")
@@ -236,11 +227,7 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
-    try:
-        census = enumerate_complete_mappings(args.n, workers=args.workers)
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+    census = enumerate_complete_mappings(args.n, workers=args.workers)
     exhausted = False
     try:
         pairs = compatible_pairs(census, max_checks=args.budget)
@@ -267,13 +254,9 @@ def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        report = verify_girth8_bound(
-            args.lprime, args.n_max, n_min=args.n_min, workers=args.workers
-        )
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+    report = verify_girth8_bound(
+        args.lprime, args.n_max, n_min=args.n_min, workers=args.workers
+    )
     _note(f"sweep took {time.perf_counter() - started:.3f}s")
     _emit(export_girth8_bound_report(report), args.output)
     if report.total_violations:
@@ -285,13 +268,9 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     bound = 3 * args.lprime - 1
     n_max = args.n_max if args.n_max is not None else bound - 1
-    try:
-        report = verify_girth8_bound(
-            args.lprime, n_max, n_min=args.n_min, workers=args.workers
-        )
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+    report = verify_girth8_bound(
+        args.lprime, n_max, n_min=args.n_min, workers=args.workers
+    )
     lines = [
         "girth8-conjecture-report 1",
         f"lprime {args.lprime}",
@@ -417,7 +396,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("mappings check requires --images")
         if args.n is not None and args.n < 1:
             parser.error("--n must be >= 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # input the library rejects
+        _note(f"error: {exc}")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -40,27 +40,24 @@ column, the sum is sum_t D_t(l_t) with D_t(l) = P[j_t][l] - P[j_{t-1}][l]
 (indices mod m).  For a fixed row sequence it splits at h = ceil(m/2)
 into two adjacent-distinct column walks, l_0..l_{h-1} and l_h..l_{m-1},
 each with a residue sum; a solution is a pair of halves whose sums add
-to 0 with l_{h-1} != l_h and l_{m-1} != l_0.  The count comes from four
-first-half tables, by sum s, by (l_0, s), by (l_{h-1}, s) and by
-(l_0, l_{h-1}, s): each second half adds the first halves of matching
-sum, less those equal at l_h or at l_{m-1}, plus those equal at both
-(inclusion-exclusion).  A length then costs O(L^ceil(m/2)) per row
-sequence instead of O(L^m).
+to 0 with l_{h-1} != l_h and l_{m-1} != l_0.  The second halves are
+indexed by the first-half sum that closes them, and each first half is
+joined with the second halves under its sum, keeping the pairs that meet
+both conditions.  A length then costs, per row sequence, the
+O(L^ceil(m/2)) half walks plus the matched pairs, which outnumber the
+solutions only by the pairs that repeat a column where the halves meet.
 
-Row sequences are taken in lexicographic order.  Until one has a
-solution only an existence join runs: first halves in lexicographic
-order against second halves indexed by the sum that closes them, also
-in lexicographic order.  Its first hit is therefore the lexicographically
-first (rows, columns) solution, the tuple the witness is lifted from,
-which is the first tuple a full enumeration meets.  Counting starts at
-that row sequence, since none before it has a solution, so each length
-takes one pass, and lengths without cycles build no count tables.
+Row sequences, first halves and the second halves under each sum are
+all taken in lexicographic order, so the join yields the solutions in
+lexicographic (rows, columns) order.  The first is the tuple the witness
+is lifted from; counting reads the rest of the same stream, so each
+length takes one pass, and a length without a solution yields nothing.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .lifting import GirthReport, ParityCheckMatrix, ShiftMatrix
 
@@ -253,86 +250,19 @@ def _closing_index(
     return index
 
 
-def _first_join(
-    heads: list[tuple[tuple[int, ...], int]],
-    tails: dict[int, list[tuple[int, ...]]],
-) -> Optional[tuple[int, ...]]:
-    """The lexicographically first closing column sequence, or None."""
-    for seq, s in heads:
-        for rest in tails.get(s, ()):
-            if rest[0] != seq[-1] and rest[-1] != seq[0]:
-                return seq + rest
-    return None
-
-
-def _head_counts(
-    heads: list[tuple[tuple[int, ...], int]], n: int, width: int
-) -> tuple[dict[int, int], ...]:
-    """First halves counted by sum s, by (l_0, s), by (l_{h-1}, s) and by
-    (l_0, l_{h-1}, s), each key packed into one int."""
-    by_s: dict[int, int] = {}
-    by_first: dict[int, int] = {}
-    by_last: dict[int, int] = {}
-    by_both: dict[int, int] = {}
-    for seq, s in heads:
-        a, b = seq[0], seq[-1]
-        by_s[s] = by_s.get(s, 0) + 1
-        by_first[a * n + s] = by_first.get(a * n + s, 0) + 1
-        by_last[b * n + s] = by_last.get(b * n + s, 0) + 1
-        key = (a * width + b) * n + s
-        by_both[key] = by_both.get(key, 0) + 1
-    return by_s, by_first, by_last, by_both
-
-
-def _join_count(
-    counts: tuple[dict[int, int], ...],
-    tails: dict[int, list[tuple[int, ...]]],
-    n: int,
-    width: int,
-) -> int:
-    """Closing (first half, second half) pairs with l_{h-1} != l_h and
-    l_{m-1} != l_0: all pairs with matching sums, less those with
-    l_{h-1} = l_h or l_{m-1} = l_0, plus those with both."""
-    by_s, by_first, by_last, by_both = counts
-    total = 0
-    for s, rests in tails.items():
-        if s not in by_s:
-            continue
-        for rest in rests:
-            c, d = rest[0], rest[-1]
-            total += (
-                by_s[s]
-                - by_last.get(c * n + s, 0)
-                - by_first.get(d * n + s, 0)
-                + by_both.get((d * width + c) * n + s, 0)
-            )
-    return total
-
-
-def _cycle_tuples(
-    p: ShiftMatrix, m: int, count_all: bool
-) -> tuple[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """(number, first) of the solutions (jseq, lseq) of the length-2m cycle
-    condition in one pass; first is None when there is none.
-
-    With count_all false, returns at the first solution, with number 1.
-    """
-    n, width, h = p.lifting_factor, p.cols, (m + 1) // 2
-    total = 0
-    first = None
+def _cycle_solutions(
+    p: ShiftMatrix, m: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every solution (jseq, lseq) of the length-2m cycle condition, in
+    lexicographic order."""
+    n, h = p.lifting_factor, (m + 1) // 2
     for jseq in _cyclic_sequences(p.rows, m):
         ring = jseq[-1:] + jseq  # ring[t] = j_{t-1}
-        heads = _half_walks(p, ring[: h + 1])
         tails = _closing_index(_half_walks(p, ring[h:]), n)
-        if first is None:
-            lseq = _first_join(heads, tails)
-            if lseq is None:
-                continue
-            first = (jseq, lseq)
-            if not count_all:
-                return 1, first
-        total += _join_count(_head_counts(heads, n, width), tails, n, width)
-    return total, first
+        for seq, s in _half_walks(p, ring[: h + 1]):
+            for rest in tails.get(s, ()):
+                if rest[0] != seq[-1] and rest[-1] != seq[0]:
+                    yield jseq, seq + rest
 
 
 def _witness_from_tuple(
@@ -356,9 +286,11 @@ def girth_from_shifts(p: ShiftMatrix, cap: int = 12) -> GirthReport:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
     n = p.lifting_factor
     for m in range(2, cap // 2 + 1):
-        total, first = _cycle_tuples(p, m, count_all=True)
+        solutions = _cycle_solutions(p, m)
+        first = next(solutions, None)
         if first is None:
             continue
+        total = 1 + sum(1 for _ in solutions)
         girth = 2 * m
         if total * n % girth:
             raise RuntimeError(
@@ -414,6 +346,6 @@ def has_girth_at_least(p: ShiftMatrix, g: int) -> bool:
     if g not in (6, 8, 10, 12):
         raise ValueError(f"g must be one of 6, 8, 10, 12, got {g}")
     for m in range(2, (g - 2) // 2 + 1):
-        if _cycle_tuples(p, m, count_all=False)[1] is not None:
+        if next(_cycle_solutions(p, m), None) is not None:
             return False
     return True

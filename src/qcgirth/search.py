@@ -6,10 +6,11 @@ second-row entries strictly ascending (column permutation), and rows
 Every girth-6 or girth-8 matrix is equivalent to a canonical one, so
 exhausting the canonical space at a given N certifies nonexistence.
 Columns are assigned left to right.  A 4-cycle (or, for girth 8, a
-6-cycle) through a new column y closes exactly when, for some ordered
-row pair (p, q), y[q] - y[p] hits a residue fixed by the placed columns
+6-cycle) through a new column y closes exactly when, for some row pair
+p < q, y[q] - y[p] hits a residue fixed by the placed columns
 (Fossorier's condition: an alternating sum of shifts vanishes mod N).
-So the search keeps one forbidden-residue bitmask per ordered row pair,
+The residues that (q, p) forbids are the negatives of those of (p, q),
+so the search keeps one forbidden-residue bitmask per unordered row pair,
 filled in as each column x is placed: bit x[q] - x[p] for 4-cycles and,
 for girth 8, bit x[q] - x[r] + z[r] - z[p] (and its mirror) per earlier
 column z and third row r for 6-cycles.  A candidate column is rejected
@@ -19,7 +20,7 @@ as soon as one of its row-pair differences hits that pair's mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, product
 from typing import Optional
 
 from .girth import girth_from_shifts, has_girth_at_least
@@ -82,7 +83,7 @@ def _exists_at_n(
     if target_girth == 6 and n == l and j >= 4:
         return _mapping_route_at_l(j, l), nodes_in
     want8 = target_girth >= 8
-    row_pairs = list(permutations(range(j), 2))  # ordered, p != q
+    row_pairs = list(combinations(range(j), 2))  # p < q
     tails = list(product(range(n), repeat=j - 2))  # rows 2..J-1 of a column
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in

@@ -1,5 +1,6 @@
 import pytest
 
+from qcgirth import cli
 from qcgirth.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -220,13 +221,24 @@ def test_format_belongs_to_mappings_only():
     assert info.value.code == EXIT_USAGE
 
 
-def test_verify_min_lift_flags_mismatch(capsys):
-    # n-max below the true minimum makes the search miss it
+def test_verify_min_lift_flags_mismatch(capsys, monkeypatch):
+    # a reference the search contradicts is a violation: a minimum above
+    # or below it, or none in a range that reaches it
+    for girth, wrong, shown in ((6, 4, "5"), (6, 6, "5"), (8, 5, "none")):
+        monkeypatch.setitem(cli.REFERENCE_MIN_LIFT, (3, 4, girth), wrong)
+        code, out, err = run(capsys, ["verify", "min-lift", "--girth", str(girth),
+                                      "--l-min", "4", "--l-max", "4",
+                                      "--n-max", "6"])
+        assert code == EXIT_VIOLATION
+        assert f"L 4 min-n {shown} expected {wrong} mismatch" in out
+        assert "differs" in err
+    # n-max below the reference minimum only leaves it unreached
+    monkeypatch.undo()
     code, out, err = run(capsys, ["verify", "min-lift", "--l-min", "4",
                                   "--l-max", "4", "--n-max", "4"])
-    assert code == EXIT_VIOLATION
-    assert "L 4 min-n none expected 5 mismatch" in out
-    assert "differs" in err
+    assert code == EXIT_OK
+    assert out.endswith("L 4 min-n none expected 5 unreached\n")
+    assert "differs" not in err
 
 
 def test_verify_min_lift_budget(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgirth.girth import (
-    _cycle_tuples,
+    _cycle_solutions,
     _witness_from_tuple,
     count_4cycles,
     count_4cycles_graph,
@@ -197,6 +197,10 @@ def random_shift_matrix(rng, j_range, l_range, n_range):
     )
 
 
+def zero_shift_matrix(j, l, n):
+    return ShiftMatrix(entries=((0,) * l,) * j, lifting_factor=n)
+
+
 def test_product_construction_girths():
     # shortest-cycle population of the canonical product matrices
     expected = {3: 18, 5: 100, 7: 294}
@@ -333,10 +337,12 @@ def test_girth_invariant_under_normalize_and_column_permutation(j, l, n, rng):
 
 def test_shift_oracle_matches_tuple_enumeration():
     # the half-walk join against the enumeration it replaced: girth, count
-    # and witness at cap 12, and existence below each g of has_girth_at_least
+    # and witness at cap 12, and existence below each g of has_girth_at_least;
+    # in an all-zero matrix every matched pair of halves is a solution
     rng = random.Random(2004)
-    for _ in range(300):
-        p = random_shift_matrix(rng, (2, 4), (2, 8), (2, 60))
+    inputs = [random_shift_matrix(rng, (2, 4), (2, 8), (2, 60)) for _ in range(300)]
+    inputs += [zero_shift_matrix(j, l, n) for j, l, n in ((2, 2, 1), (3, 5, 7), (4, 8, 3))]
+    for p in inputs:
         report = girth_from_shifts(p, 12)
         assert (report.girth, report.shortest_cycle_count, report.witness) == \
             brute_girth(p, 12)
@@ -348,14 +354,15 @@ def test_shift_oracle_matches_tuple_enumeration():
             assert has_girth_at_least(p, g) == brute
     # m = 7 and 8 split into halves of 4 + 3 and 4 + 4 columns; past the
     # girth the tuples include longer closed walks, which both count
-    for _ in range(40):
-        p = random_shift_matrix(rng, (2, 3), (2, 3), (2, 9))
+    inputs = [random_shift_matrix(rng, (2, 3), (2, 3), (2, 9)) for _ in range(40)]
+    inputs += [zero_shift_matrix(j, l, n) for j, l, n in ((2, 2, 1), (2, 3, 4), (3, 3, 5))]
+    for p in inputs:
         for m in (2, 3, 4, 5, 6, 7, 8):
-            assert _cycle_tuples(p, m, count_all=True) == \
-                brute_shift_tuples(p, m, count_all=True)
-            first = brute_shift_tuples(p, m, count_all=False)
-            assert _cycle_tuples(p, m, count_all=False) == \
-                ((0, None) if first is None else (1, first))
+            solutions = list(_cycle_solutions(p, m))
+            assert solutions == sorted(set(solutions))  # distinct, lexicographic
+            total, first = brute_shift_tuples(p, m, count_all=True)
+            assert len(solutions) == total
+            assert solutions[:1] == ([] if first is None else [first])
     # 2 x 2 matrices reach girth 16 through a net shift of order 4
     for n in (4, 8, 12):
         for entries in (((0, 0), (0, n // 4)), ((0, 1), (2, 3 * n // 4 + 3))):
