@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Structured output is line-oriented key/value text with a version header
-and is byte-identical across runs and worker counts; timing and other
+Each command returns its exit code and report text, and main alone writes
+the report, to stdout or to --output.  Structured reports are built by
+_report: line-oriented key/value text under a `<kind> 1` version header,
+byte-identical across runs and worker counts; timing and other
 diagnostics go to stderr only.  Exit codes: 0 success, 1 a verified
-property was violated, 2 usage error, 3 budget exhausted.
+property was violated, 2 usage error (rejected input, or a file that
+cannot be read or written), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from .girth import girth_bfs, girth_from_shifts
-from .girth8 import export_girth8_bound_report, verify_girth8_bound
+from .girth8 import Girth8BoundReport, verify_girth8_bound
 from .lifting import (
     GirthReport,
     export_alist,
-    export_girth_report,
     export_shift_matrix,
     import_alist,
     import_shift_matrix,
@@ -26,12 +29,12 @@ from .lifting import (
 )
 from .mappings import (
     CensusBudgetError,
+    MappingCensus,
     PairsBudgetError,
     Permutation,
     compatible_pairs,
     difference_sequence,
     enumerate_complete_mappings,
-    export_census,
     is_complete_mapping,
 )
 from .search import (
@@ -46,6 +49,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# what a command returns: its exit code and its report, None for no report
+Result = tuple[int, Optional[str]]
+
 # minima reproduced exhaustively by the acceptance suite; used by
 # `verify min-lift` to flag regressions
 REFERENCE_MIN_LIFT = {
@@ -58,41 +64,74 @@ REFERENCE_MIN_LIFT = {
 }
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _cmd_mappings(args: argparse.Namespace) -> int:
+def _report(kind: str, lines: Iterable[str]) -> str:
+    """A structured report: the `kind 1` version header, then one line each."""
+    return "\n".join(chain((f"{kind} 1",), lines)) + "\n"
+
+
+def _census_report(census: MappingCensus) -> str:
+    head = [
+        f"modulus {census.modulus}",
+        f"count {census.count}",
+        f"witnesses {len(census.samples)}",
+    ]
+    witnesses = (" ".join(str(v) for v in m.images) for m in census.samples)
+    return _report("census", chain(head, witnesses))
+
+
+def _girth_report(report: GirthReport) -> str:
+    return _report("girth-report", [
+        f"method {report.method}",
+        f"cap {report.cap}",
+        f"girth {'infinite' if report.girth is None else report.girth}",
+        f"count {report.shortest_cycle_count}",
+        "witness " + (" ".join(report.witness) if report.witness else "-"),
+    ])
+
+
+def _girth8_bound_report(report: Girth8BoundReport) -> str:
+    lines = [
+        f"lprime {report.l_prime}",
+        f"n-min {report.n_min}",
+        f"n-max {report.n_max}",
+        f"bound {report.bound}",
+        "complete true",
+    ]
+    for row in report.rows:
+        lines.append(
+            f"N {row.n} valid {row.valid_tables} hypothesis "
+            f"{row.hypothesis_tables} violations {len(row.violations)}"
+        )
+        for v in row.violations:
+            lines.append("violation " + " ".join(str(x) for x in v))
+    lines.append(f"violations-total {report.total_violations}")
+    lines.append(f"below-bound-valid {report.below_bound_valid}")
+    return _report("girth8-bound-report", lines)
+
+
+def _cmd_mappings(args: argparse.Namespace) -> Result:
     if args.action == "check":
         images = tuple(int(tok) for tok in args.images.split(","))
         perm = Permutation(images)
         if perm.modulus % 2 == 0:
             _note("note: even modulus, no complete mapping exists at this order")
-        complete = is_complete_mapping(perm)
+        complete = "true" if is_complete_mapping(perm) else "false"
         diffs = " ".join(str(d) for d in difference_sequence(perm))
         if args.format == "structured":
-            text = (
-                "mapping-check 1\n"
-                f"images {' '.join(str(v) for v in images)}\n"
-                f"complete {'true' if complete else 'false'}\n"
-                f"differences {diffs}\n"
-            )
-        else:
-            text = (
-                f"images: {args.images}\n"
-                f"complete: {'true' if complete else 'false'}\n"
-                f"differences mod {perm.modulus}: {diffs}\n"
-            )
-        _emit(text, args.output)
-        return EXIT_OK
+            return EXIT_OK, _report("mapping-check", [
+                f"images {' '.join(str(v) for v in images)}",
+                f"complete {complete}",
+                f"differences {diffs}",
+            ])
+        return EXIT_OK, (
+            f"images: {args.images}\n"
+            f"complete: {complete}\n"
+            f"differences mod {perm.modulus}: {diffs}\n"
+        )
 
     limit = 0 if args.action == "count" else args.limit
     started = time.perf_counter()
@@ -103,27 +142,19 @@ def _cmd_mappings(args: argparse.Namespace) -> int:
     except CensusBudgetError as exc:
         _note(f"error: {exc}")
         census = exc.partial
-        text = (
-            export_census(census)
-            if args.format == "structured"
-            else f"partial count (budget hit): {census.count}\n"
-        )
-        _emit(text, args.output)
-        return EXIT_BUDGET
+        if args.format == "structured":
+            return EXIT_BUDGET, _census_report(census)
+        return EXIT_BUDGET, f"partial count (budget hit): {census.count}\n"
     _note(f"census took {time.perf_counter() - started:.3f}s ({census.nodes} nodes)")
     if args.format == "structured":
-        text = export_census(census)
-    elif args.action == "count":
-        text = f"complete mappings of Z/{args.n}: {census.count}\n"
-    else:
-        lines = [f"complete mappings of Z/{args.n}: {census.count}"]
-        lines.extend(" ".join(str(v) for v in m.images) for m in census.samples)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        return EXIT_OK, _census_report(census)
+    # count keeps no witnesses, so it prints the count line alone
+    lines = [f"complete mappings of Z/{args.n}: {census.count}"]
+    lines.extend(" ".join(str(v) for v in m.images) for m in census.samples)
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> Result:
     if args.kind == "product":
         matrix = girth6_odd_L_explicit(args.l, args.h)
     elif args.kind == "array":
@@ -137,43 +168,31 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if report.girth != 6:
         shown = "infinite" if report.girth is None else report.girth
         _note(f"error: the lifted-graph oracle finds girth {shown}, not 6")
-        return EXIT_VIOLATION
+        return EXIT_VIOLATION, None
     _note(f"girth {report.girth} verified by the lifted-graph oracle")
-    if args.alist:
-        text = export_alist(parity)
-    else:
-        text = export_shift_matrix(matrix)
-    _emit(text, args.output)
-    return EXIT_OK
+    return EXIT_OK, export_alist(parity) if args.alist else export_shift_matrix(matrix)
 
 
-def _cmd_girth(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input) as fh:
-            text = fh.read()
-    except OSError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
+def _cmd_girth(args: argparse.Namespace) -> Result:
+    with open(args.input) as fh:  # main reports an OSError as a usage error
+        text = fh.read()
     is_shift = text.startswith("shift-matrix")
     try:
         matrix = import_shift_matrix(text) if is_shift else None
         parity = None if is_shift else import_alist(text)
     except ValueError as exc:  # AlistParseError included
         _note(f"error: {args.input}: {exc}")
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     if args.method in ("shifts", "both") and not is_shift:
         _note("error: the shifts method needs a shift-matrix file, not alist")
-        return EXIT_USAGE
-    if args.cap < 4 or args.cap % 2:
-        _note(f"error: --cap must be even and >= 4, got {args.cap}")
-        return EXIT_USAGE
+        return EXIT_USAGE, None
 
     reports: list[GirthReport] = []
     if args.method in ("shifts", "both"):
         reports.append(girth_from_shifts(matrix, cap=args.cap))
     if args.method in ("bfs", "both"):
         reports.append(girth_bfs(lift(matrix) if is_shift else parity, cap=args.cap))
-    out = "".join(export_girth_report(r) for r in reports)
+    out = "".join(_girth_report(r) for r in reports)
     if args.method == "both":
         agree = (
             reports[0].girth == reports[1].girth
@@ -181,21 +200,14 @@ def _cmd_girth(args: argparse.Namespace) -> int:
         )
         out += f"agreement {'true' if agree else 'false'}\n"
         if not agree:
-            _emit(out, args.output)
             _note("error: the two girth methods disagree")
-            return EXIT_VIOLATION
-    _emit(out, args.output)
-    return EXIT_OK
+            return EXIT_VIOLATION, out
+    return EXIT_OK, out
 
 
-def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
-    lines = [
-        "min-lift-report 1",
-        f"J {args.j}",
-        f"target-girth {args.girth}",
-        f"n-max {args.n_max}",
-    ]
-    mismatch = False
+def _cmd_verify_min_lift(args: argparse.Namespace) -> Result:
+    lines = [f"J {args.j}", f"target-girth {args.girth}", f"n-max {args.n_max}"]
+    code = EXIT_OK
     try:
         for l in range(args.l_min, args.l_max + 1):
             result = min_lifting_factor(
@@ -211,68 +223,60 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> int:
                 status, shown = "unreached", str(expected)
             else:
                 status, shown = "mismatch", str(expected)
-                mismatch = True
+                code = EXIT_VIOLATION
             shown_min = "none" if result.min_n is None else str(result.min_n)
             lines.append(f"L {l} min-n {shown_min} expected {shown} {status}")
     except SearchBudgetError as exc:
         _note(f"error: {exc}")
         lines.append("budget-exhausted true")
-        _emit("\n".join(lines) + "\n", args.output)
-        return EXIT_BUDGET
-    _emit("\n".join(lines) + "\n", args.output)
-    if mismatch:
+        code = EXIT_BUDGET
+    if code == EXIT_VIOLATION:
         _note("error: computed minimum differs from the reference table")
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return code, _report("min-lift-report", lines)
 
 
-def _cmd_verify_pairwise(args: argparse.Namespace) -> int:
+def _cmd_verify_pairwise(args: argparse.Namespace) -> Result:
     census = enumerate_complete_mappings(args.n, workers=args.workers)
-    exhausted = False
+    code = EXIT_OK
     try:
         pairs = compatible_pairs(census, max_checks=args.budget)
     except PairsBudgetError as exc:
         _note(f"error: {exc}")
-        pairs, exhausted = exc.pairs, True
+        pairs, code = exc.pairs, EXIT_BUDGET
     lines = [
-        "pairwise-report 1",
         f"modulus {args.n}",
         f"mappings {census.count}",
         f"compatible-pairs {len(pairs)}",
     ]
     lines.extend(f"pair {i} {j}" for i, j in pairs)
-    if exhausted:
+    if code == EXIT_BUDGET:
         lines.append("budget-exhausted true")
-    _emit("\n".join(lines) + "\n", args.output)
-    if exhausted:
-        return EXIT_BUDGET
-    if args.expect_empty and pairs:
+    elif args.expect_empty and pairs:
         _note(f"error: expected no compatible pairs, found {len(pairs)}")
-        return EXIT_VIOLATION
-    return EXIT_OK
+        code = EXIT_VIOLATION
+    return code, _report("pairwise-report", lines)
 
 
-def _cmd_verify_bound(args: argparse.Namespace) -> int:
+def _cmd_verify_bound(args: argparse.Namespace) -> Result:
     started = time.perf_counter()
     report = verify_girth8_bound(
         args.lprime, args.n_max, n_min=args.n_min, workers=args.workers
     )
     _note(f"sweep took {time.perf_counter() - started:.3f}s")
-    _emit(export_girth8_bound_report(report), args.output)
+    text = _girth8_bound_report(report)
     if report.total_violations:
         _note(f"error: {report.total_violations} bound violations found")
-        return EXIT_VIOLATION
-    return EXIT_OK
+        return EXIT_VIOLATION, text
+    return EXIT_OK, text
 
 
-def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
+def _cmd_verify_conjecture(args: argparse.Namespace) -> Result:
     bound = 3 * args.lprime - 1
     n_max = args.n_max if args.n_max is not None else bound - 1
     report = verify_girth8_bound(
         args.lprime, n_max, n_min=args.n_min, workers=args.workers
     )
     lines = [
-        "girth8-conjecture-report 1",
         f"lprime {args.lprime}",
         f"bound {bound}",
         f"n-min {report.n_min}",
@@ -282,7 +286,6 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
         if row.n < bound:
             lines.append(f"N {row.n} valid {row.valid_tables}")
     lines.append(f"below-bound-valid {report.below_bound_valid}")
-    _emit("\n".join(lines) + "\n", args.output)
     # the unconstrained bound is unproven: counterexamples are reported,
     # never treated as failures
     if report.below_bound_valid:
@@ -290,7 +293,7 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
             f"note: {report.below_bound_valid} valid tables below the bound; "
             "this is evidence against the unconstrained conjecture, not an error"
         )
-    return EXIT_OK
+    return EXIT_OK, _report("girth8-conjecture-report", lines)
 
 
 def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
@@ -394,13 +397,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("mappings count/enumerate requires --n")
         if args.action == "check" and args.images is None:
             parser.error("mappings check requires --images")
-        if args.n is not None and args.n < 1:
-            parser.error("--n must be >= 1")
     try:
-        return args.func(args)
-    except ValueError as exc:  # input the library rejects
+        code, text = args.func(args)
+        if text:
+            if args.output is None:
+                sys.stdout.write(text)
+            else:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+    except (ValueError, OSError) as exc:  # rejected input, unusable file
         _note(f"error: {exc}")
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -476,6 +476,8 @@ def verify_girth8_bound(
         raise ValueError(f"need L' >= 2, got {l_prime}")
     if n_min is None:
         n_min = l_prime + 1
+    if n_min < 1:
+        raise ValueError(f"need N >= 1, got n_min {n_min}")
     if n_min > n_max:
         raise ValueError(f"empty N range [{n_min}, {n_max}]")
     ns = range(n_min, n_max + 1)
@@ -496,25 +498,3 @@ def verify_girth8_bound(
             for n, (valid, hyp, violations) in totals.items()
         ),
     )
-
-
-def export_girth8_bound_report(report: Girth8BoundReport) -> str:
-    """Structured text per N with table and hypothesis counts and violations."""
-    lines = [
-        "girth8-bound-report 1",
-        f"lprime {report.l_prime}",
-        f"n-min {report.n_min}",
-        f"n-max {report.n_max}",
-        f"bound {report.bound}",
-        "complete true",
-    ]
-    for row in report.rows:
-        lines.append(
-            f"N {row.n} valid {row.valid_tables} hypothesis "
-            f"{row.hypothesis_tables} violations {len(row.violations)}"
-        )
-        for v in row.violations:
-            lines.append("violation " + " ".join(str(x) for x in v))
-    lines.append(f"violations-total {report.total_violations}")
-    lines.append(f"below-bound-valid {report.below_bound_valid}")
-    return "\n".join(lines) + "\n"

@@ -281,15 +281,3 @@ def import_shift_matrix(text: str) -> ShiftMatrix:
     if len(rows) != header["J"] or any(len(r) != header["L"] for r in rows):
         raise ValueError("row data does not match declared J x L")
     return ShiftMatrix(entries=tuple(rows), lifting_factor=header["N"])
-
-
-def export_girth_report(report: GirthReport) -> str:
-    lines = [
-        "girth-report 1",
-        f"method {report.method}",
-        f"cap {report.cap}",
-        f"girth {'infinite' if report.girth is None else report.girth}",
-        f"count {report.shortest_cycle_count}",
-        "witness " + (" ".join(report.witness) if report.witness else "-"),
-    ]
-    return "\n".join(lines) + "\n"

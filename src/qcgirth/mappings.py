@@ -186,6 +186,8 @@ def enumerate_complete_mappings(
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"witness limit must be >= 0, got {limit}")
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
     if n == 1:  # the identity; there is no position 1 to branch on
         if max_nodes is not None and max_nodes < 1:
@@ -332,15 +334,3 @@ def compatible_pairs(
             raise PairsBudgetError(out, max_checks)
         checks += stop - i - 1
     return out
-
-
-def export_census(census: MappingCensus) -> str:
-    """Structured text: modulus, count, then one witness image sequence per line."""
-    lines = [
-        "census 1",
-        f"modulus {census.modulus}",
-        f"count {census.count}",
-        f"witnesses {len(census.samples)}",
-    ]
-    lines.extend(" ".join(str(v) for v in m.images) for m in census.samples)
-    return "\n".join(lines) + "\n"

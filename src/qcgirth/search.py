@@ -50,10 +50,6 @@ class SearchResult:
     search that runs out of budget raises instead of returning.
     """
 
-    j: int
-    l: int
-    target_girth: int
-    n_max: int
     min_n: Optional[int]
     witness: Optional[ShiftMatrix]
     nodes: int
@@ -221,15 +217,7 @@ def min_lifting_factor(
                 )
             min_n = n
             break
-    return SearchResult(
-        j=j,
-        l=l,
-        target_girth=target_girth,
-        n_max=n_max,
-        min_n=min_n,
-        witness=witness,
-        nodes=nodes,
-    )
+    return SearchResult(min_n=min_n, witness=witness, nodes=nodes)
 
 
 def girth6_even_L(l: int) -> ShiftMatrix:

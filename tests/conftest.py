@@ -1,11 +1,9 @@
-"""Shared acceptance-line recording and wall-clock budgets for heavy checks.
+"""Shared acceptance-line recording.
 
 Each acceptance test records exactly one PASS/FAIL line; the lines are
 replayed in a terminal section after the run so they are visible even
 with output capture on.
 """
-
-import multiprocessing
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -24,21 +22,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             ACCEPTANCE_LINES, key=lambda s: int(s.split()[1])
         ):
             terminalreporter.write_line(line)
-
-
-def _child(target, queue):
-    queue.put(target())
-
-
-def run_with_budget(target, seconds):
-    """Run target() in a forked child; None means the budget ran out."""
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.SimpleQueue()
-    proc = ctx.Process(target=_child, args=(target, queue))
-    proc.start()
-    proc.join(seconds)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join()
-        return None
-    return queue.get()

@@ -1,14 +1,13 @@
 """Acceptance gate: one test per shipped guarantee, one PASS/FAIL line each.
 
-Heavy computations run in a forked child with a wall-clock budget; a
-budget miss downgrades the affected sub-check to a skip notice, never to
-a silent pass.
+Every check runs in-process to completion: none passes or skips on a
+wall-clock budget, so a slow kernel shows as a slow run, not a pass.
 """
 
 import itertools
 import random
 
-from conftest import record_acceptance, run_with_budget
+from conftest import record_acceptance
 
 from qcgirth.girth import (
     count_4cycles,
@@ -38,12 +37,6 @@ from qcgirth.mappings import (
 )
 from qcgirth.search import girth6_even_L, min_lifting_factor
 
-CENSUS_BUDGET_S = 600
-
-
-def _census_13():
-    return enumerate_complete_mappings(13, limit=0).count
-
 
 def test_criterion_01_complete_mapping_census():
     odd = {1: 1, 3: 1, 5: 3, 7: 19, 9: 225, 11: 3441}
@@ -51,19 +44,11 @@ def test_criterion_01_complete_mapping_census():
         assert enumerate_complete_mappings(n, limit=0).count == expected, n
     for n in (2, 4, 6, 8, 10, 12):
         assert enumerate_complete_mappings(n, limit=0).count == 0, n
-
-    count_13 = run_with_budget(_census_13, CENSUS_BUDGET_S)
-    if count_13 is None:
-        note = " (N=13 skipped: 10-minute budget exceeded)"
-        ok = True
-    else:
-        note = ""
-        ok = count_13 == 79259
     record_acceptance(
         1,
         "complete-mapping census: odd N<=13 counts 1,1,3,19,225,3441,79259 "
-        "and even N<=12 all zero" + note,
-        ok,
+        "and even N<=12 all zero",
+        enumerate_complete_mappings(13, limit=0).count == 79259,
     )
 
 

@@ -8,7 +8,13 @@ from qcgirth.cli import (
     EXIT_VIOLATION,
     main,
 )
-from qcgirth.lifting import GirthReport, export_alist, export_shift_matrix, lift
+from qcgirth.lifting import (
+    GirthReport,
+    ShiftMatrix,
+    export_alist,
+    export_shift_matrix,
+    lift,
+)
 from qcgirth.search import girth6_odd_L_explicit
 
 
@@ -189,6 +195,27 @@ def test_girth_shifts_method_does_not_lift(tmp_path, capsys, monkeypatch):
     assert "method shifts" in out and "girth 6" in out
 
 
+def test_girth_shifts_report_bytes(tmp_path, capsys):
+    path = tmp_path / "p.shifts"
+    path.write_text(export_shift_matrix(ShiftMatrix(((0, 0), (0, 0)), 2)))
+    code, out, _ = run(capsys, ["girth", "--input", str(path),
+                                "--method", "shifts"])
+    assert code == EXIT_OK
+    assert out == (
+        "girth-report 1\nmethod shifts\ncap 12\ngirth 4\ncount 2\n"
+        "witness v0 c0 v2 c2\n"
+    )
+    # one row closes no cycle
+    path.write_text(export_shift_matrix(ShiftMatrix(((0, 1, 2),), 3)))
+    code, out, _ = run(capsys, ["girth", "--input", str(path),
+                                "--method", "shifts", "--cap", "8"])
+    assert code == EXIT_OK
+    assert out == (
+        "girth-report 1\nmethod shifts\ncap 8\ngirth infinite\ncount 0\n"
+        "witness -\n"
+    )
+
+
 def test_girth_missing_file(capsys):
     code, _, err = run(capsys, ["girth", "--input", "/nonexistent/x"])
     assert code == EXIT_USAGE
@@ -297,6 +324,24 @@ def test_verify_girth8_bound(capsys):
     assert "sweep took" in err
 
 
+def test_verify_girth8_bound_report_bytes(capsys):
+    code, out, _ = run(capsys, ["verify", "girth8-bound", "--lprime", "3",
+                                "--n-max", "9", "--n-min", "8"])
+    assert code == EXIT_OK
+    assert out == (
+        "girth8-bound-report 1\n"
+        "lprime 3\n"
+        "n-min 8\n"
+        "n-max 9\n"
+        "bound 8\n"
+        "complete true\n"
+        "N 8 valid 0 hypothesis 0 violations 0\n"
+        "N 9 valid 36 hypothesis 24 violations 0\n"
+        "violations-total 0\n"
+        "below-bound-valid 0\n"
+    )
+
+
 def test_verify_girth8_bound_worker_fanout_same_bytes(capsys):
     argv = ["verify", "girth8-bound", "--lprime", "3", "--n-max", "9"]
     _, single, _ = run(capsys, argv)
@@ -319,7 +364,14 @@ def test_verify_girth8_conjecture(capsys):
     (["verify", "girth8-bound", "--lprime", "0", "--n-max", "3"], "L' >= 2"),
     (["verify", "girth8-conjecture", "--lprime", "1"], "L' >= 2"),
     (["verify", "min-lift", "--j", "1", "--l-min", "2", "--l-max", "2"], "L >= 3"),
-], ids=["pairwise", "girth8-bound", "girth8-conjecture", "min-lift"])
+    (["verify", "girth8-bound", "--lprime", "3", "--n-max", "5", "--n-min", "-2"],
+     "N >= 1"),
+    (["verify", "girth8-conjecture", "--lprime", "3", "--n-min", "-1"], "N >= 1"),
+    (["mappings", "enumerate", "--n", "5", "--limit", "-1"], "limit must be >= 0"),
+    (["mappings", "count", "--n", "0"], "modulus must be >= 1"),
+], ids=["pairwise", "girth8-bound", "girth8-conjecture", "min-lift",
+        "girth8-bound-n-min", "girth8-conjecture-n-min", "mappings-limit",
+        "mappings-n"])
 def test_verify_rejects_bad_input_as_usage_error(capsys, argv, message):
     # exit 1 would claim a verified property was violated
     code, out, err = run(capsys, argv)
@@ -335,6 +387,16 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text() == "census 1\nmodulus 5\ncount 3\nwitnesses 0\n"
+
+
+def test_output_flag_bad_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "census.txt"
+    code, out, err = run(capsys, ["mappings", "count", "--n", "5",
+                                  "--output", str(target)])
+    assert (code, out) == (EXIT_USAGE, "")
+    # the census runs and reports its time; only the write fails
+    assert err.splitlines()[-1].startswith("error: ")
+    assert str(target) in err and not target.exists()
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -14,7 +14,6 @@ from qcgirth.girth8 import (
     build_g8_table,
     check_girth8_conditions,
     classify_structure,
-    export_girth8_bound_report,
     extreme_intersection_pair,
     partition_case_bound,
     row_sets,
@@ -417,22 +416,9 @@ def test_verify_girth8_bound_validates_range():
         verify_girth8_bound(1, 9)
     with pytest.raises(ValueError, match="empty"):
         verify_girth8_bound(3, 4, n_min=5)
-
-
-def test_export_girth8_bound_report_golden():
-    report = verify_girth8_bound(3, 9, n_min=8)
-    assert export_girth8_bound_report(report) == (
-        "girth8-bound-report 1\n"
-        "lprime 3\n"
-        "n-min 8\n"
-        "n-max 9\n"
-        "bound 8\n"
-        "complete true\n"
-        "N 8 valid 0 hypothesis 0 violations 0\n"
-        "N 9 valid 36 hypothesis 24 violations 0\n"
-        "violations-total 0\n"
-        "below-bound-valid 0\n"
-    )
+    for n_min in (0, -2):
+        with pytest.raises(ValueError, match="N >= 1"):
+            verify_girth8_bound(3, 5, n_min=n_min)
 
 
 def test_verdict_and_classification_types():

@@ -10,7 +10,6 @@ from qcgirth.lifting import (
     canonical_from_mapping,
     cpm,
     export_alist,
-    export_girth_report,
     export_shift_matrix,
     import_alist,
     import_shift_matrix,
@@ -213,16 +212,3 @@ def test_girth_report_witness_validation():
     with pytest.raises(ValueError, match="alternate"):
         GirthReport(girth=4, shortest_cycle_count=1, cap=12, method="bfs",
                     witness=("c0", "v0", "c1", "v1"))
-
-
-def test_export_girth_report_golden():
-    finite = GirthReport(girth=4, shortest_cycle_count=2, cap=12, method="shifts",
-                         witness=("v0", "c0", "v1", "c1"))
-    assert export_girth_report(finite) == (
-        "girth-report 1\nmethod shifts\ncap 12\ngirth 4\ncount 2\n"
-        "witness v0 c0 v1 c1\n"
-    )
-    infinite = GirthReport(girth=None, shortest_cycle_count=0, cap=8, method="bfs")
-    assert export_girth_report(infinite) == (
-        "girth-report 1\nmethod bfs\ncap 8\ngirth infinite\ncount 0\nwitness -\n"
-    )
