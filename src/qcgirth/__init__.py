@@ -6,6 +6,7 @@ exhaustive minimal-lifting-factor search.
 """
 
 from .girth import (
+    GirthReport,
     count_4cycles,
     count_4cycles_graph,
     girth_bfs,
@@ -29,7 +30,6 @@ from .girth8 import (
     verify_partition_bound,
 )
 from .lifting import (
-    GirthReport,
     ParityCheckMatrix,
     ShiftMatrix,
     canonical_from_mapping,

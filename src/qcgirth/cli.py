@@ -17,10 +17,9 @@ import time
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .girth import girth_bfs, girth_from_shifts
+from .girth import GirthReport, girth_bfs, girth_from_shifts
 from .girth8 import Girth8BoundReport, verify_girth8_bound
 from .lifting import (
-    GirthReport,
     export_alist,
     export_shift_matrix,
     import_alist,
@@ -28,9 +27,8 @@ from .lifting import (
     lift,
 )
 from .mappings import (
-    CensusBudgetError,
+    BudgetError,
     MappingCensus,
-    PairsBudgetError,
     Permutation,
     compatible_pairs,
     difference_sequence,
@@ -38,7 +36,6 @@ from .mappings import (
     is_complete_mapping,
 )
 from .search import (
-    SearchBudgetError,
     girth6_even_L,
     girth6_odd_L_explicit,
     min_lifting_factor,
@@ -139,7 +136,7 @@ def _cmd_mappings(args: argparse.Namespace) -> Result:
         census = enumerate_complete_mappings(
             args.n, limit=limit, max_nodes=args.budget, workers=args.workers
         )
-    except CensusBudgetError as exc:
+    except BudgetError as exc:
         _note(f"error: {exc}")
         census = exc.partial
         if args.format == "structured":
@@ -206,6 +203,8 @@ def _cmd_girth(args: argparse.Namespace) -> Result:
 
 
 def _cmd_verify_min_lift(args: argparse.Namespace) -> Result:
+    if args.l_min > args.l_max:
+        raise ValueError(f"empty L range [{args.l_min}, {args.l_max}]")
     lines = [f"J {args.j}", f"target-girth {args.girth}", f"n-max {args.n_max}"]
     code = EXIT_OK
     try:
@@ -226,7 +225,7 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> Result:
                 code = EXIT_VIOLATION
             shown_min = "none" if result.min_n is None else str(result.min_n)
             lines.append(f"L {l} min-n {shown_min} expected {shown} {status}")
-    except SearchBudgetError as exc:
+    except BudgetError as exc:
         _note(f"error: {exc}")
         lines.append("budget-exhausted true")
         code = EXIT_BUDGET
@@ -240,9 +239,9 @@ def _cmd_verify_pairwise(args: argparse.Namespace) -> Result:
     code = EXIT_OK
     try:
         pairs = compatible_pairs(census, max_checks=args.budget)
-    except PairsBudgetError as exc:
+    except BudgetError as exc:
         _note(f"error: {exc}")
-        pairs, code = exc.pairs, EXIT_BUDGET
+        pairs, code = exc.partial, EXIT_BUDGET
     lines = [
         f"modulus {args.n}",
         f"mappings {census.count}",
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="explicit girth-6 constructions")
     p_con.add_argument("kind", choices=("product", "reversal", "array", "even-l"))
     p_con.add_argument("--l", type=int, required=True, help="protograph columns")
-    p_con.add_argument("--h", type=int, default=None, help="product multiplier")
+    p_con.add_argument("--h", type=int, default=2, help="product multiplier")
     p_con.add_argument(
         "--alist", action="store_true", help="emit the lifted matrix as alist"
     )

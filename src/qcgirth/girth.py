@@ -56,10 +56,36 @@ length takes one pass, and a length without a solution yields nothing.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Optional
 
-from .lifting import GirthReport, ParityCheckMatrix, ShiftMatrix
+from .lifting import ParityCheckMatrix, ShiftMatrix
+
+
+@dataclass(frozen=True)
+class GirthReport:
+    """Girth result relative to a search cap.
+
+    girth None means no cycle of length <= cap exists.  witness, when
+    present, lists girth many vertex labels alternating variable ("v<i>")
+    and check ("c<i>") nodes along one shortest cycle.
+    """
+
+    girth: Optional[int]
+    shortest_cycle_count: int
+    cap: int
+    method: str
+    witness: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.witness is not None and self.girth is not None:
+            if len(self.witness) != self.girth:
+                raise ValueError("witness length must equal girth")
+            for idx, label in enumerate(self.witness):
+                want = "v" if idx % 2 == 0 else "c"
+                if not label.startswith(want):
+                    raise ValueError("witness must alternate v/c starting at v")
 
 
 def _adjacency(h: ParityCheckMatrix) -> list[list[int]]:

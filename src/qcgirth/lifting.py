@@ -93,31 +93,6 @@ class ParityCheckMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class GirthReport:
-    """Girth result relative to a search cap.
-
-    girth None means no cycle of length <= cap exists.  witness, when
-    present, lists girth many vertex labels alternating variable ("v<i>")
-    and check ("c<i>") nodes along one shortest cycle.
-    """
-
-    girth: Optional[int]
-    shortest_cycle_count: int
-    cap: int
-    method: str
-    witness: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.witness is not None and self.girth is not None:
-            if len(self.witness) != self.girth:
-                raise ValueError("witness length must equal girth")
-            for idx, label in enumerate(self.witness):
-                want = "v" if idx % 2 == 0 else "c"
-                if not label.startswith(want):
-                    raise ValueError("witness must alternate v/c starting at v")
-
-
 def cpm(shift: int, n: int) -> frozenset[tuple[int, int]]:
     """One-positions of the N x N circulant permutation block for a shift."""
     s = shift % n

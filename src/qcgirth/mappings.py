@@ -19,26 +19,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 DEFAULT_WITNESS_CAP = 10**6
 
 
-class CensusBudgetError(RuntimeError):
-    """Enumeration ran out of node budget; carries the partial census."""
+class BudgetError(RuntimeError):
+    """A budgeted run stopped early; partial holds the work done so far: a
+    MappingCensus, the pairs found, or a SearchResult with min_n None."""
 
-    def __init__(self, partial: MappingCensus):
-        super().__init__(
-            f"node budget exhausted after {partial.nodes} nodes "
-            f"(partial count {partial.count} for modulus {partial.modulus})"
-        )
+    def __init__(self, message: str, partial: object):
+        super().__init__(message)
         self.partial = partial
-
-
-class PairsBudgetError(RuntimeError):
-    """The pair scan ran out of check budget; carries the pairs found so far."""
-
-    def __init__(self, pairs: list[tuple[int, int]], checks: int):
-        super().__init__(
-            f"check budget exhausted after {checks} pair checks "
-            f"({len(pairs)} compatible pairs so far)"
-        )
-        self.pairs = pairs
 
 
 @dataclass(frozen=True)
@@ -108,12 +95,14 @@ def is_complete_mapping(p: Permutation) -> bool:
 
 def _map_branches(fn: Callable, branches: Iterable, workers: int) -> Iterator:
     """Yield fn(branch) for each branch in order: in this process when
-    workers <= 1, else from one pool of that many processes.
+    workers is 1, else from one pool of that many processes.
 
     Leaving the pool terminates its workers, so closing the generator early
     stops the branches still in flight instead of waiting for them.
     """
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         yield from map(fn, branches)
     else:
         with multiprocessing.Pool(workers) as pool:
@@ -121,20 +110,21 @@ def _map_branches(fn: Callable, branches: Iterable, workers: int) -> Iterator:
 
 
 def _enumerate_branch(
-    n: int, witness_cap: int, max_nodes: Optional[int], first_image: int
+    n: int, witness_cap: int, max_nodes: Optional[int], prefix: tuple[int, ...]
 ) -> tuple[int, list[tuple[int, ...]], int, bool]:
-    """Backtracking census of the mappings with p(1) = first_image.
+    """Backtracking census of the mappings whose images start with prefix.
 
-    first_image lies in 2..N-1, and the node that places it counts against
-    max_nodes like any other.  Returns (count, witnesses, nodes,
-    budget_hit).  Images are assigned in position order with candidates
-    ascending, so witnesses come out in lexicographic order.
+    The prefix is (0,) at N = 1 and (0, v) with v in 2..N-1 otherwise;
+    placing it is one node, which counts against max_nodes like any other.
+    Returns (count, witnesses, nodes, budget_hit).  Images are assigned in
+    position order with candidates ascending, so witnesses come out in
+    lexicographic order.
     """
     full = (1 << n) - 1
     count = 0
     nodes = 1
     witnesses: list[tuple[int, ...]] = []
-    images = [0] * n
+    images = list(prefix) + [0] * (n - len(prefix))
     budget_hit = False
 
     def rec(pos: int, used_images: int, used_diffs: int) -> bool:
@@ -163,9 +153,10 @@ def _enumerate_branch(
 
     if max_nodes is not None and nodes > max_nodes:
         return 0, [], nodes, True
-    # position 0 is pinned at image 0 with difference 0
-    images[1] = first_image
-    rec(2, 1 | (1 << first_image), 1 | (1 << (first_image - 1)))
+    # a prefix repeats no image and no difference, so sums are unions
+    used_images = sum(1 << v for v in prefix)
+    used_diffs = sum(1 << ((v - i) % n) for i, v in enumerate(prefix))
+    rec(len(prefix), used_images, used_diffs)
     return count, witnesses, nodes, budget_hit
 
 
@@ -179,8 +170,8 @@ def enumerate_complete_mappings(
 
     limit caps retained witnesses (default 10^6); the count stays exact
     either way.  max_nodes bounds the backtracking steps of the whole
-    census and raises CensusBudgetError carrying the partial result when
-    exceeded.  The search runs as one branch per image at position 1;
+    census and raises BudgetError carrying the partial census when
+    exceeded.  The search runs as one branch per pinned prefix (p(0), p(1));
     workers fans the branches out over processes, and the census, partial
     or not, is identical for every worker count.
     """
@@ -188,24 +179,21 @@ def enumerate_complete_mappings(
         raise ValueError(f"modulus must be >= 1, got {n}")
     if limit is not None and limit < 0:
         raise ValueError(f"witness limit must be >= 0, got {limit}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"node budget must be >= 0, got {max_nodes}")
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
-    if n == 1:  # the identity; there is no position 1 to branch on
-        if max_nodes is not None and max_nodes < 1:
-            # placing the identity is the one node, as N = 3 counts it
-            raise CensusBudgetError(MappingCensus(1, 0, (), False, 1))
-        samples = (CompleteMapping((0,)),)[:witness_cap]
-        return MappingCensus(1, 1, samples, not samples, 1)
     count, nodes, budget_hit = 0, 0, False
     images_list: list[tuple[int, ...]] = []
-    firsts = range(2, n)  # image 1 would repeat difference 0
+    # p(0) = 0, and p(1) = 1 would repeat difference 0; N = 1 has no p(1)
+    prefixes = [(0,)] if n == 1 else [(0, v) for v in range(2, n)]
     branch = partial(_enumerate_branch, n, witness_cap, max_nodes)
-    results = _map_branches(branch, firsts, workers)
-    for part, first in zip(results, firsts):
+    results = _map_branches(branch, prefixes, workers)
+    for part, prefix in zip(results, prefixes):
         if max_nodes is not None and nodes and nodes + part[2] > max_nodes:
             # a serial census stops inside this branch: redo it in-process
             # with what is left of the budget, so it hits the budget there
             # (with nothing spent yet, part already stopped at that node)
-            part = _enumerate_branch(n, witness_cap, max_nodes - nodes, first)
+            part = _enumerate_branch(n, witness_cap, max_nodes - nodes, prefix)
         b_count, b_witnesses, b_nodes, budget_hit = part
         count += b_count
         nodes += b_nodes
@@ -223,7 +211,11 @@ def enumerate_complete_mappings(
         nodes=nodes,
     )
     if budget_hit:
-        raise CensusBudgetError(census)
+        raise BudgetError(
+            f"node budget exhausted after {nodes} nodes "
+            f"(partial count {count} for modulus {n})",
+            census,
+        )
     return census
 
 
@@ -312,11 +304,13 @@ def compatible_pairs(
     of each other.
 
     Requires the census to retain every witness.  Pairs are checked in
-    order; after max_checks checks, raises PairsBudgetError carrying the
-    pairs found so far.
+    order; after max_checks checks, raises BudgetError carrying the pairs
+    found so far.
     """
     if census.truncated or len(census.samples) != census.count:
         raise ValueError("census lacks full witnesses; rerun without a limit")
+    if max_checks is not None and max_checks < 0:
+        raise ValueError(f"check budget must be >= 0, got {max_checks}")
     # the rows are permutations by type, so is_complete_mapping_of's
     # validation is skipped and only the differences are tested
     n = census.modulus
@@ -331,6 +325,10 @@ def compatible_pairs(
             if len({(b - a) % n for a, b in zip(row_a, rows[j])}) == n:
                 out.append((i, j))
         if stop < len(rows):
-            raise PairsBudgetError(out, max_checks)
+            raise BudgetError(
+                f"check budget exhausted after {max_checks} pair checks "
+                f"({len(out)} compatible pairs so far)",
+                out,
+            )
         checks += stop - i - 1
     return out

@@ -26,19 +26,11 @@ from typing import Optional
 from .girth import girth_from_shifts, has_girth_at_least
 from .lifting import ShiftMatrix, canonical_from_mapping
 from .mappings import (
+    BudgetError,
     compatible_pairs,
     enumerate_complete_mappings,
     product_mapping,
-    valid_product_multipliers,
 )
-
-
-class SearchBudgetError(RuntimeError):
-    """Node budget ran out; nodes counts the search nodes visited."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"node budget exhausted after {nodes} nodes")
-        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,8 @@ class SearchResult:
 
     min_n is None when no admissible matrix exists with N <= n_max.  Every
     N below the reported one (or up to n_max) was fully explored, since a
-    search that runs out of budget raises instead of returning.
+    search that runs out of budget raises BudgetError instead of returning;
+    its partial is a SearchResult with no minimum and the nodes visited.
     """
 
     min_n: Optional[int]
@@ -65,11 +58,16 @@ def _exists_at_n(
 ) -> tuple[Optional[ShiftMatrix], int]:
     """Find one canonical J x L matrix over Z/N with girth >= target, or None.
 
-    The one per-N step of every search: the infeasibility pre-checks, the
-    complete-mapping route at N = L for J >= 4, else backtracking.  Returns
-    (witness, nodes) with nodes counted on from nodes_in, and raises
-    SearchBudgetError when nodes reach budget.
+    The one per-N step of every search: the girth and budget checks, the
+    infeasibility pre-checks, the complete-mapping route at N = L for
+    J >= 4, else backtracking, and the witness check by the shift oracle.
+    Returns (witness, nodes) with nodes counted on from nodes_in, and
+    raises BudgetError when nodes reach budget.
     """
+    if target_girth not in (6, 8):
+        raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     if target_girth == 6 and n < l:
         return None, nodes_in  # a girth-6 row holds L distinct residues
     if target_girth == 8 and j >= 3 and n <= 2 * (l - 1):
@@ -77,8 +75,18 @@ def _exists_at_n(
         # nonzero residues; two-row matrices escape this bound
         return None, nodes_in
     if target_girth == 6 and n == l and j >= 4:
-        return _mapping_route_at_l(j, l), nodes_in
-    want8 = target_girth >= 8
+        witness, nodes = _mapping_route_at_l(j, l), nodes_in
+    else:
+        witness, nodes = _backtrack(j, l, n, target_girth == 8, budget, nodes_in)
+    if witness is not None and not has_girth_at_least(witness, target_girth):
+        raise RuntimeError(f"search witness at N={n} lacks girth {target_girth}")
+    return witness, nodes
+
+
+def _backtrack(
+    j: int, l: int, n: int, want8: bool, budget: Optional[int], nodes_in: int
+) -> tuple[Optional[ShiftMatrix], int]:
+    """Canonical backtracking at one N; returns (witness or None, nodes)."""
     row_pairs = list(combinations(range(j), 2))  # p < q
     tails = list(product(range(n), repeat=j - 2))  # rows 2..J-1 of a column
     cols: list[tuple[int, ...]] = [(0,) * j]
@@ -116,7 +124,10 @@ def _exists_at_n(
                 if any(tail[k] > tail[k + 1] for k in tied):
                     continue
                 if budget is not None and nodes >= budget:
-                    raise SearchBudgetError(nodes)
+                    raise BudgetError(
+                        f"node budget exhausted after {nodes} nodes",
+                        SearchResult(min_n=None, witness=None, nodes=nodes),
+                    )
                 nodes += 1
                 y = (0, v1) + tail
                 if any(
@@ -178,8 +189,6 @@ def exists_code(
     budget: Optional[int] = None,
 ) -> tuple[bool, Optional[ShiftMatrix]]:
     """Exhaustive (under canonical reductions) existence check at fixed N."""
-    if target_girth not in (6, 8):
-        raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
     if j < 2 or l < 2:
         raise ValueError(f"need J >= 2 and L >= 2, got ({j}, {l})")
     witness, _ = _exists_at_n(j, l, n, target_girth, budget, 0)
@@ -198,26 +207,20 @@ def min_lifting_factor(
     Exhausts each N in turn, so the reported minimum carries nonexistence
     certificates for every smaller N.
     """
-    if target_girth not in (6, 8):
-        raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
     if target_girth == 6 and l < 3:
         raise ValueError(f"girth-6 search needs L >= 3, got {l}")
     if target_girth == 8 and l < 4:
         raise ValueError(f"girth-8 search needs L >= 4, got {l}")
     if not 3 <= j <= 5:
         raise ValueError(f"J must be in [3, 5], got {j}")
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     nodes = 0
-    min_n = witness = None
     for n in range(1, n_max + 1):  # the step's pre-checks pass over small N
         witness, nodes = _exists_at_n(j, l, n, target_girth, budget, nodes)
         if witness is not None:
-            if not has_girth_at_least(witness, target_girth):
-                raise RuntimeError(
-                    f"search witness at N={n} lacks girth {target_girth}"
-                )
-            min_n = n
-            break
-    return SearchResult(min_n=min_n, witness=witness, nodes=nodes)
+            return SearchResult(min_n=n, witness=witness, nodes=nodes)
+    return SearchResult(min_n=None, witness=None, nodes=nodes)
 
 
 def girth6_even_L(l: int) -> ShiftMatrix:
@@ -242,17 +245,12 @@ def girth6_even_L(l: int) -> ShiftMatrix:
     return trimmed
 
 
-def girth6_odd_L_explicit(l: int, h: Optional[int] = None) -> ShiftMatrix:
+def girth6_odd_L_explicit(l: int, h: int = 2) -> ShiftMatrix:
     """Canonical 3 x L girth-6 matrix at N = L for odd L via i -> h*i.
 
-    h defaults to the smallest valid multiplier, which is 2 for every odd
-    L >= 3.
+    h defaults to 2, the smallest valid multiplier for every odd L >= 3,
+    since gcd(2, L) = gcd(1, L) = 1.
     """
     if l < 3 or l % 2 == 0:
         raise ValueError(f"L must be odd and >= 3, got {l}")
-    if h is None:
-        multipliers = valid_product_multipliers(l)
-        if not multipliers:
-            raise ValueError(f"no valid multiplier exists for L={l}")
-        h = multipliers[0]
     return canonical_from_mapping(product_mapping(h, l))

@@ -8,8 +8,8 @@ from qcgirth.cli import (
     EXIT_VIOLATION,
     main,
 )
+from qcgirth.girth import GirthReport
 from qcgirth.lifting import (
-    GirthReport,
     ShiftMatrix,
     export_alist,
     export_shift_matrix,
@@ -369,9 +369,24 @@ def test_verify_girth8_conjecture(capsys):
     (["verify", "girth8-conjecture", "--lprime", "3", "--n-min", "-1"], "N >= 1"),
     (["mappings", "enumerate", "--n", "5", "--limit", "-1"], "limit must be >= 0"),
     (["mappings", "count", "--n", "0"], "modulus must be >= 1"),
+    (["verify", "pairwise", "--n", "5", "--budget", "-1"],
+     "check budget must be >= 0"),
+    (["mappings", "count", "--n", "7", "--budget", "-5"],
+     "node budget must be >= 0"),
+    (["verify", "min-lift", "--l-min", "4", "--l-max", "4", "--budget", "-1"],
+     "node budget must be >= 0"),
+    (["verify", "min-lift", "--l-min", "5", "--l-max", "4"], "empty L range"),
+    (["verify", "min-lift", "--l-min", "4", "--l-max", "4", "--n-max", "-3"],
+     "n_max >= 1"),
+    (["mappings", "enumerate", "--n", "5", "--workers", "-3"],
+     "workers must be >= 1"),
+    (["mappings", "enumerate", "--n", "5", "--workers", "0"],
+     "workers must be >= 1"),
 ], ids=["pairwise", "girth8-bound", "girth8-conjecture", "min-lift",
         "girth8-bound-n-min", "girth8-conjecture-n-min", "mappings-limit",
-        "mappings-n"])
+        "mappings-n", "pairwise-budget", "mappings-budget", "min-lift-budget",
+        "min-lift-l-range", "min-lift-n-max", "mappings-workers-negative",
+        "mappings-workers-zero"])
 def test_verify_rejects_bad_input_as_usage_error(capsys, argv, message):
     # exit 1 would claim a verified property was violated
     code, out, err = run(capsys, argv)

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qcgirth.girth import GirthReport
 from qcgirth.lifting import (
     AlistParseError,
-    GirthReport,
     ParityCheckMatrix,
     ShiftMatrix,
     canonical_from_mapping,

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcgirth.mappings import (
-    CensusBudgetError,
+    BudgetError,
     CompleteMapping,
     MappingCensus,
     Permutation,
@@ -99,7 +99,7 @@ def test_census_witness_limit():
 
 
 def test_census_budget_error_carries_partial():
-    with pytest.raises(CensusBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         enumerate_complete_mappings(9, max_nodes=50)
     partial = info.value.partial
     assert partial.modulus == 9
@@ -107,7 +107,7 @@ def test_census_budget_error_carries_partial():
     assert partial.nodes >= 50
     # a zero budget stops N = 1 at its one node, with the partial N = 3 gives
     for n in (1, 3):
-        with pytest.raises(CensusBudgetError) as info:
+        with pytest.raises(BudgetError) as info:
             enumerate_complete_mappings(n, max_nodes=0)
         assert info.value.partial == MappingCensus(n, 0, (), False, 1)
 
@@ -120,7 +120,7 @@ def test_census_worker_fanout_is_deterministic():
     # in the fourth branch
     partials = []
     for workers in (1, 2, 3):
-        with pytest.raises(CensusBudgetError) as info:
+        with pytest.raises(BudgetError) as info:
             enumerate_complete_mappings(11, max_nodes=20000, workers=workers)
         partials.append(info.value.partial)
     assert partials[0].nodes == 20001 and partials[0].count == 1389

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from qcgirth import search
 from qcgirth.girth import (
     count_4cycles,
     girth_bfs,
@@ -10,9 +11,9 @@ from qcgirth.girth import (
 )
 from qcgirth.girth8 import verify_girth8_bound
 from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
-from qcgirth.mappings import Permutation, is_complete_mapping
+from qcgirth.mappings import BudgetError, Permutation, is_complete_mapping
 from qcgirth.search import (
-    SearchBudgetError,
+    SearchResult,
     exists_code,
     girth6_even_L,
     girth6_odd_L_explicit,
@@ -61,6 +62,22 @@ def test_exists_code_validation():
         exists_code(3, 4, 5, 10)
     with pytest.raises(ValueError, match="J >= 2"):
         exists_code(1, 4, 5, 6)
+
+
+def test_exists_code_checks_its_witness(monkeypatch):
+    # both routes, backtracking (J = 3) and complete mappings (J = 4 at
+    # N = L), hand their witness to the shift oracle before returning it
+    monkeypatch.setattr(search, "has_girth_at_least", lambda matrix, girth: False)
+    for j in (3, 4):
+        with pytest.raises(RuntimeError, match="lacks girth 6"):
+            exists_code(j, 5, 5, 6)
+
+
+def test_search_zero_budget_partial():
+    # a zero budget is valid: the search stops before its first node
+    with pytest.raises(BudgetError) as info:
+        min_lifting_factor(3, 4, 6, 6, budget=0)
+    assert info.value.partial == SearchResult(min_n=None, witness=None, nodes=0)
 
 
 def test_reductions_match_unreduced_search():
@@ -126,9 +143,9 @@ def test_min_lifting_factor_validation():
 
 
 def test_search_budget():
-    with pytest.raises(SearchBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         min_lifting_factor(3, 6, 6, 7, budget=5)
-    assert info.value.nodes == 5
+    assert info.value.partial.nodes == 5
     assert str(info.value) == "node budget exhausted after 5 nodes"
 
 

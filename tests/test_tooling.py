@@ -88,3 +88,20 @@ def test_oracles_share_no_code():
         a = _reached_functions(SRC / module, first)
         b = _reached_functions(SRC / module, second)
         assert first in a and second in b and a.isdisjoint(b), (module, a & b)
+
+
+def test_public_names_match_package_imports():
+    # a class or function moved between modules must stay importable from
+    # the package under the name __all__ promises
+    import qcgirth
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = sorted(
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    assert qcgirth.__all__ == sorted(qcgirth.__all__)
+    assert qcgirth.__all__ == imported
+    assert [n for n in qcgirth.__all__ if not hasattr(qcgirth, n)] == []
