@@ -13,14 +13,21 @@ The residues that (q, p) forbids are the negatives of those of (p, q),
 so the search keeps one forbidden-residue bitmask per unordered row pair,
 filled in as each column x is placed: bit x[q] - x[p] for 4-cycles and,
 for girth 8, bit x[q] - x[r] + z[r] - z[p] (and its mirror) per earlier
-column z and third row r for 6-cycles.  A candidate column is rejected
-as soon as one of its row-pair differences hits that pair's mask.
+column z and third row r for 6-cycles.
+
+Candidates are drawn from the masks rather than tested against them.
+A new column is filled one row at a time, and row q takes its entries,
+ascending, from the complement of the OR of mask(p, q) rotated by y[p]
+over the rows p < q already filled; ints serve as the bitsets.  So only
+columns that pass the masks of all their row pairs are ever built, in
+lexicographic order.  Such a column is one search node: the unit of the
+node count and of the node budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from .girth import girth_from_shifts, has_girth_at_least
@@ -86,9 +93,27 @@ def _exists_at_n(
 def _backtrack(
     j: int, l: int, n: int, want8: bool, budget: Optional[int], nodes_in: int
 ) -> tuple[Optional[ShiftMatrix], int]:
-    """Canonical backtracking at one N; returns (witness or None, nodes)."""
+    """Canonical backtracking at one N; returns (witness or None, nodes).
+
+    Column c is built one row at a time below its fixed 0.  Row q takes
+    each entry t, ascending, from the complement of the OR of mask(p, q)
+    rotated by y[p] over the rows p < q already placed in the column, so
+    t - y[p] misses every residue mask(p, q) forbids.  Two bounds follow
+    the canonical form: row 1 stays above the previous column's entry and
+    leaves room for the columns still to come, and in column 1 rows
+    2..J-1 ascend.  That is the whole row-block tie-break: rows tie only
+    on the all-zero column 0, and since every mask holds residue 0, each
+    later column has distinct entries and breaks every tie.
+    A node is one complete column, so one that passes the masks of all its
+    row pairs.  It is counted after the budget test, and the search goes
+    on to column c + 1 with the masks that column adds.  Columns come out
+    in lexicographic order, so the witness is the first canonical matrix
+    in column-by-column lexicographic order.
+    """
     row_pairs = list(combinations(range(j), 2))  # p < q
-    tails = list(product(range(n), repeat=j - 2))  # rows 2..J-1 of a column
+    # below[q] pairs each row p < q with the index of mask(p, q)
+    below = [[(p, row_pairs.index((p, q))) for p in range(q)] for q in range(j)]
+    full = (1 << n) - 1
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
 
@@ -100,50 +125,57 @@ def _backtrack(
             m |= 1 << ((x[q] - x[p]) % n)  # 4-cycle on columns x, y
             if want8:
                 # 6-cycles on columns x, z, y through rows p, q, r
-                for z in cols:
-                    for r in range(j):
-                        if r != p and r != q:
-                            m |= 1 << ((x[q] - x[r] + z[r] - z[p]) % n)
-                            m |= 1 << ((z[q] - z[r] + x[r] - x[p]) % n)
+                for r in range(j):
+                    if r != p and r != q:
+                        a, b = x[q] - x[r], x[r] - x[p]
+                        for z in cols:
+                            m |= 1 << ((a + z[r] - z[p]) % n)
+                            m |= 1 << ((b + z[q] - z[r]) % n)
             out.append(m)
         return tuple(out)
 
-    def rec(c: int, masks: tuple[int, ...]) -> Optional[tuple]:
+    def fill(
+        c: int, masks: tuple[int, ...], y: list[int]
+    ) -> Optional[list[tuple[int, ...]]]:
+        # draw row q = len(y) of column c, then the rows below it and the
+        # columns after it; returns every column of a witness, or None
         nonlocal nodes
-        if c == l:
-            return tuple(cols)
-        # rows 2+k and 3+k still equal on every placed column must stay in
-        # nondecreasing order, the lexicographic tie-break between free rows
-        tied = [
-            k for k in range(j - 3) if all(col[k + 2] == col[k + 3] for col in cols)
-        ]
-        lo1 = cols[c - 1][1] + 1 if c > 1 else 1
-        # strictly ascending second row must leave room for later columns
-        for v1 in range(lo1, n - (l - 1 - c)):
-            for tail in tails:
-                if any(tail[k] > tail[k + 1] for k in tied):
-                    continue
+        q = len(y)
+        free = full
+        for p, i in below[q]:
+            m, s = masks[i], y[p]
+            free &= ~((m << s) | (m >> (n - s)))
+        if q == 1:  # ascending, and leaving room for the later columns
+            free &= (full >> (l - 1 - c)) & (-2 << cols[-1][1])
+        elif c == 1 and q >= 3:  # the row-block tie-break
+            free &= -1 << y[q - 1]
+        while free:
+            low = free & -free
+            free ^= low
+            y.append(low.bit_length() - 1)
+            if q + 1 < j:
+                hit = fill(c, masks, y)
+            else:
                 if budget is not None and nodes >= budget:
                     raise BudgetError(
                         f"node budget exhausted after {nodes} nodes",
                         SearchResult(min_n=None, witness=None, nodes=nodes),
                     )
                 nodes += 1
-                y = (0, v1) + tail
-                if any(
-                    m >> ((y[q] - y[p]) % n) & 1 for m, (p, q) in zip(masks, row_pairs)
-                ):
-                    continue
-                next_masks = place(masks, y)
-                cols.append(y)
-                hit = rec(c + 1, next_masks)
-                if hit is not None:
-                    return hit
+                x = tuple(y)
+                if c + 1 == l:
+                    return cols + [x]
+                next_masks = place(masks, x)
+                cols.append(x)
+                hit = fill(c + 1, next_masks, [0])
                 cols.pop()
+            y.pop()
+            if hit is not None:
+                return hit
         return None
 
     # column 0 is all zeros, so it forbids difference 0 on every row pair
-    hit = rec(1, (1,) * len(row_pairs))
+    hit = fill(1, (1,) * len(row_pairs), [0])
     if hit is None:
         return None, nodes
     entries = tuple(tuple(col[r] for col in hit) for r in range(j))

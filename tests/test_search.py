@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,7 +9,7 @@ from qcgirth.girth import (
     girth_from_shifts,
     has_girth_at_least,
 )
-from qcgirth.girth8 import verify_girth8_bound
+from qcgirth.girth8 import check_girth8_conditions, verify_girth8_bound
 from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
 from qcgirth.mappings import BudgetError, Permutation, is_complete_mapping
 from qcgirth.search import (
@@ -39,6 +39,71 @@ def brute_exists(j, l, n, girth=6):
         if girth == 8 and has_girth_at_least(p, 8):
             return True
     return False
+
+
+def tails_backtrack(j, l, n, want8, budget, nodes_in):
+    """In-test reference: the search kernel that tests every tail.
+
+    Per second-row value v1 it enumerates all N^(J-2) tails (rows 2..J-1),
+    skips those that break the tie-break of rows tied on every placed
+    column, counts the rest as nodes and only then tests the masks.
+    Same masks and visiting order as search._backtrack, far more nodes.
+    """
+    row_pairs = list(combinations(range(j), 2))  # p < q
+    tails = list(product(range(n), repeat=j - 2))  # rows 2..J-1 of a column
+    cols = [(0,) * j]
+    nodes = nodes_in
+
+    def place(masks, x):
+        out = []
+        for m, (p, q) in zip(masks, row_pairs):
+            m |= 1 << ((x[q] - x[p]) % n)  # 4-cycle on columns x, y
+            if want8:
+                # 6-cycles on columns x, z, y through rows p, q, r
+                for z in cols:
+                    for r in range(j):
+                        if r != p and r != q:
+                            m |= 1 << ((x[q] - x[r] + z[r] - z[p]) % n)
+                            m |= 1 << ((z[q] - z[r] + x[r] - x[p]) % n)
+            out.append(m)
+        return tuple(out)
+
+    def rec(c, masks):
+        nonlocal nodes
+        if c == l:
+            return tuple(cols)
+        tied = [
+            k for k in range(j - 3) if all(col[k + 2] == col[k + 3] for col in cols)
+        ]
+        lo1 = cols[c - 1][1] + 1 if c > 1 else 1
+        for v1 in range(lo1, n - (l - 1 - c)):
+            for tail in tails:
+                if any(tail[k] > tail[k + 1] for k in tied):
+                    continue
+                if budget is not None and nodes >= budget:
+                    raise BudgetError(
+                        f"node budget exhausted after {nodes} nodes",
+                        SearchResult(min_n=None, witness=None, nodes=nodes),
+                    )
+                nodes += 1
+                y = (0, v1) + tail
+                if any(
+                    m >> ((y[q] - y[p]) % n) & 1 for m, (p, q) in zip(masks, row_pairs)
+                ):
+                    continue
+                next_masks = place(masks, y)
+                cols.append(y)
+                hit = rec(c + 1, next_masks)
+                if hit is not None:
+                    return hit
+                cols.pop()
+        return None
+
+    hit = rec(1, (1,) * len(row_pairs))
+    if hit is None:
+        return None, nodes
+    entries = tuple(tuple(col[r] for col in hit) for r in range(j))
+    return ShiftMatrix(entries=entries, lifting_factor=n), nodes
 
 
 def test_exists_code_examples():
@@ -89,6 +154,39 @@ def test_reductions_match_unreduced_search():
                           (4, 3, 9, True)):
         assert exists_code(j, l, n, 8)[0] is want, (j, l, n)
         assert brute_exists(j, l, n, girth=8) is want, (j, l, n)
+
+
+def test_kernel_matches_tails_reference(monkeypatch):
+    # the kernel draws each column's entries from the masks; the reference
+    # tests every tail against them.  Same verdict and witness at every N,
+    # for J = 2..5 and both girths, including every N below a minimum;
+    # column 1 is where the tied rows 2..J-1 of column 0 must ascend
+    grid = [
+        (j, l, n, want8)
+        for j in (2, 3, 4, 5)
+        for l in (2, 3, 4)
+        for want8 in (False, True)
+        for n in range(1, 9)
+    ]
+    # the first girth-8 witnesses at J = 4, L = 4 and J = 5, L = 3
+    for j, l, n, want8 in grid + [(4, 4, 15, True), (5, 3, 13, True)]:
+        got = search._backtrack(j, l, n, want8, None, 0)[0]
+        want = tails_backtrack(j, l, n, want8, None, 0)[0]
+        assert got == want, (j, l, n, want8)
+    assert got is not None  # the last case has a witness
+    cases = (
+        (3, 4, 6, 8), (3, 6, 6, 9), (3, 4, 8, 12), (3, 5, 8, 14),
+        (3, 5, 8, 12),  # no witness up to n_max
+        (4, 4, 6, 8), (4, 6, 6, 9), (4, 9, 6, 12),
+        (5, 4, 6, 8), (5, 6, 6, 9),
+    )
+    got = [min_lifting_factor(*case) for case in cases]
+    monkeypatch.setattr(search, "_backtrack", tails_backtrack)
+    want = [min_lifting_factor(*case) for case in cases]
+    assert [(r.min_n, r.witness) for r in got] == [
+        (r.min_n, r.witness) for r in want
+    ]
+    assert [r.min_n for r in got] == [5, 7, 9, 13, None, 5, 7, 10, 5, 7]
 
 
 def test_min_lifting_factor_girth6():
@@ -147,28 +245,41 @@ def test_search_budget():
         min_lifting_factor(3, 6, 6, 7, budget=5)
     assert info.value.partial.nodes == 5
     assert str(info.value) == "node budget exhausted after 5 nodes"
+    # the search stops at its budget, never past it (6229 nodes in all)
+    for budget in (0, 1, 5, 100):
+        with pytest.raises(BudgetError) as info:
+            min_lifting_factor(3, 5, 8, 14, budget=budget)
+        assert info.value.partial.nodes == budget
 
 
 def test_search_node_counts():
     # the pruning may get cheaper per node, but which nodes it visits, and
-    # so these counts, must not change without a reason
+    # so these counts, must not change without a reason.  A node is one
+    # column that passes the masks of all its row pairs
     for args, want in (
-        ((3, 4, 8, 12), (9, 2942)),
-        ((3, 5, 8, 14), (13, 217128)),
-        ((4, 6, 6, 9), (7, 2924)),
-        ((5, 6, 6, 9), (7, 9776)),
-        ((4, 9, 6, 12), (10, 20232)),
+        ((3, 4, 8, 12), (9, 153)),
+        ((3, 5, 8, 14), (13, 6229)),
+        ((4, 6, 6, 9), (7, 40)),
+        ((5, 6, 6, 9), (7, 20)),
+        ((4, 9, 6, 12), (10, 151)),
+        # exhausted at every N: 6x more nodes without the row tie-break
+        ((5, 4, 8, 12), (None, 2494)),
     ):
         r = min_lifting_factor(*args)
         assert (r.min_n, r.nodes) == want, args
 
 
 def test_first_valid_girth8_table_matches_search():
-    # two independent routes to the J = 3, L = 4 girth-8 minimum: the
-    # L' = 3 difference-table sweep and the canonical search
-    report = verify_girth8_bound(3, 9)
-    first = min(row.n for row in report.rows if row.valid_tables)
-    assert first == min_lifting_factor(3, 4, 8, 12).min_n == 9
+    # two independent routes to the J = 3, L = L' + 1 girth-8 minimum: the
+    # L' difference-table sweep and the canonical search
+    for l_prime, want in ((3, 9), (4, 13), (5, 18)):
+        report = verify_girth8_bound(l_prime, want)
+        first = min(row.n for row in report.rows if row.valid_tables)
+        result = min_lifting_factor(3, l_prime + 1, 8, want)
+        assert first == result.min_n == want, l_prime
+    # the L = 6 witness, judged by the lifted-graph oracle and the x_i route
+    assert girth_bfs(lift(result.witness), 8).girth == 8
+    assert check_girth8_conditions(result.witness).valid
 
 
 def test_search_witness_survives_alist_roundtrip():

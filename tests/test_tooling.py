@@ -90,6 +90,21 @@ def test_oracles_share_no_code():
         assert first in a and second in b and a.isdisjoint(b), (module, a & b)
 
 
+def test_search_imports_nothing_from_girth8():
+    # the girth-8 table sweep and the search are two routes to the J = 3
+    # girth-8 minima; their agreement in test_search checks something
+    # only while the search shares no code with the sweep
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "search.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert "girth" in names and "girth8" not in names
+
+
 def test_public_names_match_package_imports():
     # a class or function moved between modules must stay importable from
     # the package under the name __all__ promises
