@@ -38,7 +38,7 @@ class Permutation:
         n = len(self.images)
         if n == 0:
             raise ValueError("permutation needs at least one point")
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
+        object.__setattr__(self, "images", tuple(map(int, self.images)))
         if sorted(self.images) != list(range(n)):
             raise ValueError(f"images {self.images} are not a permutation of 0..{n - 1}")
 
@@ -116,47 +116,56 @@ def _enumerate_branch(
 
     The prefix is (0,) at N = 1 and (0, v) with v in 2..N-1 otherwise;
     placing it is one node, which counts against max_nodes like any other.
-    Returns (count, witnesses, nodes, budget_hit).  Images are assigned in
-    position order with candidates ascending, so witnesses come out in
-    lexicographic order.
+    Every later node is one image placement that passes both masks: the
+    image is unused, and so is its difference v - pos mod N.  Position pos
+    draws its images, ascending, from full & ~(used_images | forbid), where
+    forbid is the used-difference set rotated up by pos (the images whose
+    difference is taken), so every image drawn is a node.  The last
+    position counts the mapping where it places it.  Returns (count,
+    witnesses, nodes, budget_hit); witnesses come out in lexicographic
+    order.
     """
     full = (1 << n) - 1
+    last = n - 1
     count = 0
     nodes = 1
     witnesses: list[tuple[int, ...]] = []
     images = list(prefix) + [0] * (n - len(prefix))
     budget_hit = False
 
-    def rec(pos: int, used_images: int, used_diffs: int) -> bool:
+    def rec(pos: int, used_images: int, forbid: int) -> bool:
         nonlocal count, nodes, budget_hit
-        if pos == n:
-            count += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(tuple(images))
-            return True
-        avail = full & ~used_images
+        avail = full & ~(used_images | forbid)
         while avail:
             bit = avail & -avail
             avail ^= bit
-            v = bit.bit_length() - 1
-            dbit = 1 << ((v - pos) % n)
-            if used_diffs & dbit:
-                continue
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 budget_hit = True
                 return False
-            images[pos] = v
-            if not rec(pos + 1, used_images | bit, used_diffs | dbit):
+            images[pos] = bit.bit_length() - 1
+            if pos == last:
+                count += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append(tuple(images))
+                continue
+            # bit's difference is used now; at pos + 1 each used difference
+            # forbids the image one higher
+            f = forbid | bit
+            if not rec(pos + 1, used_images | bit, ((f << 1) & full) | (f >> last)):
                 return False
         return True
 
     if max_nodes is not None and nodes > max_nodes:
         return 0, [], nodes, True
-    # a prefix repeats no image and no difference, so sums are unions
+    pos = len(prefix)
+    if pos == n:  # N = 1: the prefix is the whole mapping
+        return 1, [prefix] if witness_cap else [], nodes, False
+    # a prefix repeats no image and no difference, so sums are unions;
+    # image v is forbidden at pos when v - pos = p(i) - i for some i
     used_images = sum(1 << v for v in prefix)
-    used_diffs = sum(1 << ((v - i) % n) for i, v in enumerate(prefix))
-    rec(len(prefix), used_images, used_diffs)
+    forbid = sum(1 << ((v - i + pos) % n) for i, v in enumerate(prefix))
+    rec(pos, used_images, forbid)
     return count, witnesses, nodes, budget_hit
 
 

@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcgirth.mappings import (
+    DEFAULT_WITNESS_CAP,
     BudgetError,
     CompleteMapping,
     MappingCensus,
     Permutation,
+    _enumerate_branch,
     _map_branches,
     almost_complete_mapping,
     compatible_pairs,
@@ -24,7 +26,9 @@ from qcgirth.mappings import (
 )
 
 # exact counts, reproduced independently for N=5 below
-ODD_COUNTS = {1: 1, 3: 1, 5: 3, 7: 19, 9: 225, 11: 3441}
+ODD_COUNTS = {1: 1, 3: 1, 5: 3, 7: 19, 9: 225, 11: 3441, 13: 79259}
+# census nodes: fewer nodes is better pruning, not a faster kernel
+ODD_NODES = {9: 2220, 11: 50330, 13: 1617610}
 
 
 def brute_force_mappings(n):
@@ -35,6 +39,54 @@ def brute_force_mappings(n):
         if len({(images[i] - i) % n for i in range(n)}) == n:
             out.append(images)
     return out
+
+
+def scan_branch(n, witness_cap, max_nodes, prefix):
+    """In-test reference: the census kernel that scans every unused image.
+
+    Each position takes every unused image, ascending, and tests its
+    difference against the used differences one bit at a time; only an
+    image that passes counts as a node.  Same nodes, budget stop and
+    witness order as mappings._enumerate_branch, which draws only the
+    images that pass.
+    """
+    full = (1 << n) - 1
+    count = 0
+    nodes = 1
+    witnesses = []
+    images = list(prefix) + [0] * (n - len(prefix))
+    budget_hit = False
+
+    def rec(pos, used_images, used_diffs):
+        nonlocal count, nodes, budget_hit
+        if pos == n:
+            count += 1
+            if len(witnesses) < witness_cap:
+                witnesses.append(tuple(images))
+            return True
+        avail = full & ~used_images
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            v = bit.bit_length() - 1
+            dbit = 1 << ((v - pos) % n)
+            if used_diffs & dbit:
+                continue
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                budget_hit = True
+                return False
+            images[pos] = v
+            if not rec(pos + 1, used_images | bit, used_diffs | dbit):
+                return False
+        return True
+
+    if max_nodes is not None and nodes > max_nodes:
+        return 0, [], nodes, True
+    used_images = sum(1 << v for v in prefix)
+    used_diffs = sum(1 << ((v - i) % n) for i, v in enumerate(prefix))
+    rec(len(prefix), used_images, used_diffs)
+    return count, witnesses, nodes, budget_hit
 
 
 def test_permutation_validation():
@@ -69,6 +121,20 @@ def test_census_counts_odd():
     for n, expected in ODD_COUNTS.items():
         census = enumerate_complete_mappings(n, limit=0)
         assert census.count == expected, f"N={n}"
+        if n in ODD_NODES:
+            assert census.nodes == ODD_NODES[n], f"N={n}"
+
+
+def test_census_kernel_matches_scan_reference():
+    # every branch, witness cap and budget stop, tuple for tuple
+    for n in range(1, 12):
+        prefixes = [(0,)] if n == 1 else [(0, v) for v in range(2, n)]
+        for prefix in prefixes:
+            for cap in (0, 2, DEFAULT_WITNESS_CAP):  # limit 0, 2 and None
+                for budget in (None, 0, 1, 5, 100, 1000):
+                    got = _enumerate_branch(n, cap, budget, prefix)
+                    want = scan_branch(n, cap, budget, prefix)
+                    assert got == want, (n, prefix, cap, budget)
 
 
 def test_census_counts_even_are_zero():
@@ -153,12 +219,13 @@ def test_census_rejects_bad_modulus():
 def test_census_deep_count_within_budget():
     # a slow census fails here rather than passing or skipping
     started = time.perf_counter()
-    count = enumerate_complete_mappings(15, limit=0).count
+    census = enumerate_complete_mappings(15, limit=0)
     elapsed = time.perf_counter() - started
-    assert count == 2424195
+    assert census.count == 2424195
+    assert census.nodes == 68644968
     assert elapsed < 300, f"N=15 census took {elapsed:.0f}s, budget 300s"
     # one mapping per 14!/count ~ 36000 permutations fixing 0
-    assert abs(count / math.factorial(14) - 2.8e-5) < 1e-6
+    assert abs(census.count / math.factorial(14) - 2.8e-5) < 1e-6
 
 
 def test_product_mapping_examples():
