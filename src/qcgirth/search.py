@@ -32,9 +32,12 @@ from typing import Optional
 
 from .girth import girth_from_shifts, has_girth_at_least
 from .lifting import ShiftMatrix, canonical_from_mapping
+# compatible_pairs is not called here.  It stays importable from search
+# because perfbench's traced run (--trace 1) wraps it there, next to
+# enumerate_complete_mappings, and tests/test_tooling.py checks that
 from .mappings import (
     BudgetError,
-    compatible_pairs,
+    compatible_pairs,  # noqa: F401
     enumerate_complete_mappings,
     product_mapping,
 )
@@ -66,10 +69,18 @@ def _exists_at_n(
     """Find one canonical J x L matrix over Z/N with girth >= target, or None.
 
     The one per-N step of every search: the girth and budget checks, the
-    infeasibility pre-checks, the complete-mapping route at N = L for
-    J >= 4, else backtracking, and the witness check by the shift oracle.
-    Returns (witness, nodes) with nodes counted on from nodes_in, and
-    raises BudgetError when nodes reach budget.
+    infeasibility pre-checks, a nonexistence certificate at N = L, then
+    backtracking, and the witness check by the shift oracle.  Every
+    witness comes from _backtrack, so it is counted in the nodes and
+    bounded by the budget.  Returns (witness, nodes) with nodes counted on
+    from nodes_in, and raises BudgetError when nodes reach budget.
+
+    At N = L and J >= 4, row 2 of a canonical girth-6 matrix is 0..L-1,
+    so rows 3 and 4 are complete mappings of Z/L that are mates: their
+    columnwise differences are all distinct.  When the census of Z/L holds
+    every mapping and no two of them are mates, no such matrix exists.
+    The pairs are tested until the first mate pair; a census cut short by
+    its witness cap certifies nothing, and both cases go on to backtrack.
     """
     if target_girth not in (6, 8):
         raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
@@ -82,9 +93,16 @@ def _exists_at_n(
         # nonzero residues; two-row matrices escape this bound
         return None, nodes_in
     if target_girth == 6 and n == l and j >= 4:
-        witness, nodes = _mapping_route_at_l(j, l), nodes_in
-    else:
-        witness, nodes = _backtrack(j, l, n, target_girth == 8, budget, nodes_in)
+        census = enumerate_complete_mappings(l)
+        # as in compatible_pairs, the rows are permutations by type, so
+        # is_complete_mapping_of's validation (twice the cost) is skipped
+        rows = [m.images for m in census.samples]
+        if not census.truncated and not any(
+            len({(b - a) % l for a, b in zip(row_a, row_b)}) == l
+            for row_a, row_b in combinations(rows, 2)
+        ):
+            return None, nodes_in
+    witness, nodes = _backtrack(j, l, n, target_girth == 8, budget, nodes_in)
     if witness is not None and not has_girth_at_least(witness, target_girth):
         raise RuntimeError(f"search witness at N={n} lacks girth {target_girth}")
     return witness, nodes
@@ -180,37 +198,6 @@ def _backtrack(
         return None, nodes
     entries = tuple(tuple(col[r] for col in hit) for r in range(j))
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
-
-
-def _mapping_route_at_l(j: int, l: int) -> Optional[ShiftMatrix]:
-    """Girth-6 existence at N = L for J >= 4 via pairwise complete mappings.
-
-    Rows 3..J of a canonical girth-6 matrix at N = L are complete mappings
-    that are pairwise complete mappings of each other, so they form a
-    clique of J - 2 compatible mappings.  Returns a witness matrix or None.
-    """
-    census = enumerate_complete_mappings(l)
-    samples = census.samples
-    need = j - 2
-    pairs = set(compatible_pairs(census))
-
-    def grow(chosen: list[int], start: int) -> Optional[list[int]]:
-        if len(chosen) == need:
-            return chosen
-        for nxt in range(start, len(samples)):
-            if all((c, nxt) in pairs for c in chosen):
-                hit = grow(chosen + [nxt], nxt + 1)
-                if hit is not None:
-                    return hit
-        return None
-
-    clique = grow([], 0)
-    if clique is None:
-        return None
-    rows = ((0,) * l, tuple(range(l))) + tuple(
-        samples[idx].images for idx in clique
-    )
-    return ShiftMatrix(entries=rows, lifting_factor=l)
 
 
 def exists_code(

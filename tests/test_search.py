@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from typing import Optional
 
 import pytest
 
@@ -11,7 +12,13 @@ from qcgirth.girth import (
 )
 from qcgirth.girth8 import check_girth8_conditions, verify_girth8_bound
 from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
-from qcgirth.mappings import BudgetError, Permutation, is_complete_mapping
+from qcgirth.mappings import (
+    BudgetError,
+    Permutation,
+    compatible_pairs,
+    enumerate_complete_mappings,
+    is_complete_mapping,
+)
 from qcgirth.search import (
     SearchResult,
     exists_code,
@@ -106,6 +113,42 @@ def tails_backtrack(j, l, n, want8, budget, nodes_in):
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
 
 
+def clique_route(j: int, l: int) -> Optional[ShiftMatrix]:
+    """Girth-6 existence at N = L for J >= 4 via pairwise complete mappings.
+
+    Rows 3..J of a canonical girth-6 matrix at N = L are complete mappings
+    that are pairwise complete mappings of each other, so they form a
+    clique of J - 2 compatible mappings.  Returns a witness matrix or None.
+    """
+    census = enumerate_complete_mappings(l)
+    samples = census.samples
+    need = j - 2
+    pairs = set(compatible_pairs(census))
+
+    def grow(chosen: list[int], start: int) -> Optional[list[int]]:
+        if len(chosen) == need:
+            return chosen
+        for nxt in range(start, len(samples)):
+            if all((c, nxt) in pairs for c in chosen):
+                hit = grow(chosen + [nxt], nxt + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    clique = grow([], 0)
+    if clique is None:
+        return None
+    rows = ((0,) * l, tuple(range(l))) + tuple(
+        samples[idx].images for idx in clique
+    )
+    return ShiftMatrix(entries=rows, lifting_factor=l)
+
+
+def assert_girth_exactly_6(witness):
+    assert girth_from_shifts(witness, 12).girth == 6
+    assert girth_bfs(lift(witness), 12).girth == 6
+
+
 def test_exists_code_examples():
     assert exists_code(3, 6, 6, 6)[0] is False  # even L at N=L
     found, witness = exists_code(3, 5, 5, 6)
@@ -130,12 +173,47 @@ def test_exists_code_validation():
 
 
 def test_exists_code_checks_its_witness(monkeypatch):
-    # both routes, backtracking (J = 3) and complete mappings (J = 4 at
-    # N = L), hand their witness to the shift oracle before returning it
+    # every witness, J = 3 and J = 4 at N = L alike, comes from the
+    # backtracking kernel and goes to the shift oracle before it is returned
     monkeypatch.setattr(search, "has_girth_at_least", lambda matrix, girth: False)
     for j in (3, 4):
         with pytest.raises(RuntimeError, match="lacks girth 6"):
             exists_code(j, 5, 5, 6)
+
+
+def test_certificate_matches_clique_route():
+    # at N = L the search certifies nonexistence from a census without
+    # mates and backtracks otherwise; the clique route decides the same.
+    # Even L has no complete mappings, and L = 9 has mappings but no mates
+    for j in (4, 5):
+        for l in (3, 4, 5, 6, 7, 8, 9, 10, 12):
+            found, witness = exists_code(j, l, l, 6)
+            assert found == (clique_route(j, l) is not None), (j, l)
+            if found:
+                assert_girth_exactly_6(witness)
+
+
+def test_truncated_census_is_no_certificate(monkeypatch):
+    # a census cut short by its witness cap may hide the mate pair, so the
+    # search must backtrack rather than rule N = L out
+    full = enumerate_complete_mappings
+    monkeypatch.setattr(
+        search, "enumerate_complete_mappings", lambda n: full(n, limit=1)
+    )
+    assert search.enumerate_complete_mappings(7).truncated
+    found, witness = exists_code(4, 7, 7, 6)
+    assert found
+    assert_girth_exactly_6(witness)
+
+
+def test_kernel_finds_four_rows_at_n_equals_l():
+    # a 4-row girth-6 matrix exists at N = L = 13 and 15; at 15 every valid
+    # product multiplier is 2 mod 3, so its rows 3 and 4 are not both linear
+    for l, want_nodes in ((13, 31285), (15, 168700)):
+        witness, nodes = search._backtrack(4, l, l, False, None, 0)
+        assert nodes == want_nodes, l
+        assert witness.entries[1] == tuple(range(l))
+        assert_girth_exactly_6(witness)
 
 
 def test_search_zero_budget_partial():
@@ -250,6 +328,11 @@ def test_search_budget():
         with pytest.raises(BudgetError) as info:
             min_lifting_factor(3, 5, 8, 14, budget=budget)
         assert info.value.partial.nodes == budget
+    # at N = L too: every witness there is a counted, budgeted kernel node
+    for args, budget in (((4, 7, 6, 7), 0), ((4, 11, 6, 14), 100)):
+        with pytest.raises(BudgetError) as info:
+            min_lifting_factor(*args, budget=budget)
+        assert info.value.partial.nodes == budget, args
 
 
 def test_search_node_counts():
@@ -262,6 +345,10 @@ def test_search_node_counts():
         ((4, 6, 6, 9), (7, 40)),
         ((5, 6, 6, 9), (7, 20)),
         ((4, 9, 6, 12), (10, 151)),
+        # N = L = 11 by backtracking; L = 10 is ruled out at N = L by the
+        # census of Z/10, which holds no complete mapping
+        ((4, 11, 6, 14), (11, 3653)),
+        ((4, 10, 6, 14), (11, 17539)),
         # exhausted at every N: 6x more nodes without the row tie-break
         ((5, 4, 8, 12), (None, 2494)),
     ):
