@@ -33,7 +33,6 @@ from .lifting import (
     ParityCheckMatrix,
     ShiftMatrix,
     canonical_from_mapping,
-    cpm,
     export_alist,
     export_shift_matrix,
     import_alist,
@@ -83,7 +82,6 @@ __all__ = [
     "compatible_pairs",
     "count_4cycles",
     "count_4cycles_graph",
-    "cpm",
     "difference_sequence",
     "enumerate_complete_mappings",
     "exists_code",

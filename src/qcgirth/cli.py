@@ -154,10 +154,6 @@ def _cmd_mappings(args: argparse.Namespace) -> Result:
 def _cmd_construct(args: argparse.Namespace) -> Result:
     if args.kind == "product":
         matrix = girth6_odd_L_explicit(args.l, args.h)
-    elif args.kind == "array":
-        matrix = girth6_odd_L_explicit(args.l, 2)
-    elif args.kind == "reversal":
-        matrix = girth6_odd_L_explicit(args.l, args.l - 1)
     else:  # even-l
         matrix = girth6_even_L(args.l)
     parity = lift(matrix)
@@ -326,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=_cmd_mappings)
 
     p_con = sub.add_parser("construct", help="explicit girth-6 constructions")
-    p_con.add_argument("kind", choices=("product", "reversal", "array", "even-l"))
+    p_con.add_argument("kind", choices=("product", "even-l"))
     p_con.add_argument("--l", type=int, required=True, help="protograph columns")
     p_con.add_argument("--h", type=int, default=2, help="product multiplier")
     p_con.add_argument(

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Iterator, Optional
 
 from .lifting import ParityCheckMatrix, ShiftMatrix
@@ -223,23 +224,10 @@ def _first_cycle(adj: list[list[int]], girth: int, s: int) -> list[int]:
 
 @cache
 def _cyclic_sequences(symbols: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """All tuples over range(symbols) with adjacent entries distinct cyclically."""
-    out: list[tuple[int, ...]] = []
-    seq = [0] * length
-
-    def rec(pos: int) -> None:
-        if pos == length:
-            if seq[0] != seq[-1]:
-                out.append(tuple(seq))
-            return
-        for v in range(symbols):
-            if pos > 0 and v == seq[pos - 1]:
-                continue
-            seq[pos] = v
-            rec(pos + 1)
-
-    rec(0)
-    return tuple(out)
+    """All tuples over range(symbols) with adjacent entries distinct
+    cyclically, in lexicographic order."""
+    seqs = product(range(symbols), repeat=length)
+    return tuple(s for s in seqs if all(a != b for a, b in zip(s, s[1:] + s[:1])))
 
 
 def _half_walks(

@@ -112,14 +112,19 @@ class CaseClassification:
     block_count: Optional[int] = None
 
 
-def build_g8_table(p: ShiftMatrix) -> Girth8Table:
-    """Difference table of a canonical 3 x L shift matrix, L >= 4."""
+def _require_canonical_3_row(p: ShiftMatrix) -> None:
+    """Reject all but canonical 3 x L shift matrices with L >= 4."""
     if p.rows != 3:
         raise ValueError(f"need a 3-row shift matrix, got {p.rows} rows")
     if p.cols < 4:
         raise ValueError(f"need L >= 4 columns, got {p.cols}")
     if not p.is_canonical():
         raise ValueError("shift matrix is not canonical; normalize() it first")
+
+
+def build_g8_table(p: ShiftMatrix) -> Girth8Table:
+    """Difference table of a canonical 3 x L shift matrix, L >= 4."""
+    _require_canonical_3_row(p)
     return Girth8Table(
         modulus=p.lifting_factor,
         col_headers=p.entries[1][1:],
@@ -175,12 +180,7 @@ def check_girth8_conditions(p: ShiftMatrix) -> ValidityVerdict:
     conditions are read as difference constraints over the 2L' header
     values x_1..x_{2L'}.  Agrees with the table route on every input.
     """
-    if p.rows != 3:
-        raise ValueError(f"need a 3-row shift matrix, got {p.rows} rows")
-    if p.cols < 4:
-        raise ValueError(f"need L >= 4 columns, got {p.cols}")
-    if not p.is_canonical():
-        raise ValueError("shift matrix is not canonical; normalize() it first")
+    _require_canonical_3_row(p)
     n = p.lifting_factor
     lp = p.cols - 1
     x = (None,) + p.entries[1][1:] + p.entries[2][1:]  # x[1..2L'], 1-based

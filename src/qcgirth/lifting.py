@@ -93,12 +93,6 @@ class ParityCheckMatrix:
         return out
 
 
-def cpm(shift: int, n: int) -> frozenset[tuple[int, int]]:
-    """One-positions of the N x N circulant permutation block for a shift."""
-    s = shift % n
-    return frozenset((r, (r + s) % n) for r in range(n))
-
-
 def canonical_from_mapping(p: Permutation) -> ShiftMatrix:
     """The 3 x N shift matrix (zeros; 0..N-1; p(0)..p(N-1)) for p(0) = 0."""
     if p.images[0] != 0:
@@ -222,6 +216,8 @@ def import_alist(text: str) -> ParityCheckMatrix:
                 )
     if len(ones) != sum(col_deg):
         raise AlistParseError(len(lines), "column and row sections disagree")
+    if (max_col, max_row) != (max(col_deg), max(row_deg)):
+        raise AlistParseError(2, "max degrees differ from the degree lists")
     return ParityCheckMatrix(n_rows=n_rows, n_cols=n_cols, adjacency=frozenset(ones))
 
 

@@ -14,6 +14,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_WITNESS_CAP = 10**6
@@ -49,10 +50,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i % self.modulus]
 
-    @classmethod
-    def from_images(cls, images: Iterable[int]) -> Permutation:
-        return cls(tuple(images))
-
 
 @dataclass(frozen=True)
 class CompleteMapping(Permutation):
@@ -81,16 +78,13 @@ class MappingCensus:
 
 def difference_sequence(p: Permutation) -> tuple[int, ...]:
     """The sequence (p(i) - i mod N) for i = 0..N-1."""
-    n = p.modulus
-    return tuple((p.images[i] - i) % n for i in range(n))
+    n = p.modulus  # every census witness is checked here; a list beats a generator
+    return tuple([(v - i) % n for i, v in enumerate(p.images)])
 
 
 def is_complete_mapping(p: Permutation) -> bool:
     """True iff p fixes 0 and its difference sequence is a permutation of Z/N."""
-    if p.images[0] != 0:
-        return False
-    n = p.modulus
-    return len({(p.images[i] - i) % n for i in range(n)}) == n
+    return p.images[0] == 0 and len(set(difference_sequence(p))) == p.modulus
 
 
 def _map_branches(fn: Callable, branches: Iterable, workers: int) -> Iterator:
@@ -211,7 +205,7 @@ def enumerate_complete_mappings(
             break
     results.close()  # stops the branches a pool still runs past the budget
     del images_list[witness_cap:]
-    samples = tuple(CompleteMapping.from_images(im) for im in images_list)
+    samples = tuple(CompleteMapping(im) for im in images_list)
     census = MappingCensus(
         modulus=n,
         count=count,
@@ -244,17 +238,12 @@ def product_mapping(h: int, n: int) -> CompleteMapping:
     g = math.gcd(h - 1, n)
     if g != 1:
         raise ValueError(f"gcd(h-1, N) = gcd({h - 1}, {n}) = {g} != 1")
-    return CompleteMapping.from_images(tuple((h * i) % n for i in range(n)))
+    return CompleteMapping(tuple((h * i) % n for i in range(n)))
 
 
-def valid_product_multipliers(n: int, h_max: Optional[int] = None) -> list[int]:
-    """All h in [2, min(h_max, N-1)] satisfying the product-mapping premises."""
-    top = n - 1 if h_max is None else min(h_max, n - 1)
-    return [
-        h
-        for h in range(2, top + 1)
-        if math.gcd(h, n) == 1 and math.gcd(h - 1, n) == 1
-    ]
+def valid_product_multipliers(n: int) -> list[int]:
+    """All h in [2, N-1] satisfying the product-mapping premises."""
+    return [h for h in range(2, n) if math.gcd(h * (h - 1), n) == 1]
 
 
 def almost_complete_mapping(n: int) -> Permutation:
@@ -313,31 +302,29 @@ def compatible_pairs(
     of each other.
 
     Requires the census to retain every witness.  Pairs are checked in
-    order; after max_checks checks, raises BudgetError carrying the pairs
-    found so far.
+    lexicographic order; after max_checks checks, raises BudgetError
+    carrying the pairs found so far.
     """
     if census.truncated or len(census.samples) != census.count:
-        raise ValueError("census lacks full witnesses; rerun without a limit")
+        raise ValueError(
+            f"census kept {len(census.samples)} of {census.count} witnesses; "
+            "the pair scan needs all of them"
+        )
     if max_checks is not None and max_checks < 0:
         raise ValueError(f"check budget must be >= 0, got {max_checks}")
     # the rows are permutations by type, so is_complete_mapping_of's
     # validation is skipped and only the differences are tested
     n = census.modulus
-    out = []
     rows = [m.images for m in census.samples]
-    checks = 0
-    for i, row_a in enumerate(rows):
-        stop = len(rows)
-        if max_checks is not None:
-            stop = min(stop, i + 1 + max_checks - checks)
-        for j in range(i + 1, stop):
-            if len({(b - a) % n for a, b in zip(row_a, rows[j])}) == n:
-                out.append((i, j))
-        if stop < len(rows):
-            raise BudgetError(
-                f"check budget exhausted after {max_checks} pair checks "
-                f"({len(out)} compatible pairs so far)",
-                out,
-            )
-        checks += stop - i - 1
+    out = [
+        (i, j)
+        for i, j in islice(combinations(range(len(rows)), 2), max_checks)
+        if len({(b - a) % n for a, b in zip(rows[i], rows[j])}) == n
+    ]
+    if max_checks is not None and max_checks < math.comb(len(rows), 2):
+        raise BudgetError(
+            f"check budget exhausted after {max_checks} pair checks "
+            f"({len(out)} compatible pairs so far)",
+            out,
+        )
     return out

@@ -270,6 +270,4 @@ def girth6_odd_L_explicit(l: int, h: int = 2) -> ShiftMatrix:
     h defaults to 2, the smallest valid multiplier for every odd L >= 3,
     since gcd(2, L) = gcd(1, L) = 1.
     """
-    if l < 3 or l % 2 == 0:
-        raise ValueError(f"L must be odd and >= 3, got {l}")
     return canonical_from_mapping(product_mapping(h, l))

@@ -82,7 +82,7 @@ def test_criterion_04_product_construction_girth_exactly_6():
     checked = 0
     ok = True
     for l in range(3, 16, 2):
-        for h in valid_product_multipliers(l, 10):
+        for h in [h for h in valid_product_multipliers(l) if h <= 10]:
             p = canonical_from_mapping(product_mapping(h, l))
             girth = girth_bfs(lift(p), cap=12).girth
             ok = ok and girth == 6

@@ -148,7 +148,7 @@ def test_construct_even_l(capsys):
 
 
 def test_construct_alist_output(capsys):
-    code, out, _ = run(capsys, ["construct", "array", "--l", "5", "--alist"])
+    code, out, _ = run(capsys, ["construct", "product", "--l", "5", "--alist"])
     assert code == EXIT_OK
     assert out == export_alist(lift(girth6_odd_L_explicit(5, 2)))
 
@@ -313,6 +313,15 @@ def test_verify_pairwise_budget(capsys):
     code, full, _ = run(capsys, ["verify", "pairwise", "--n", "5", "--budget", "3"])
     assert code == EXIT_OK
     assert full == run(capsys, ["verify", "pairwise", "--n", "5"])[1]
+
+
+def test_verify_pairwise_names_the_kept_witnesses(capsys, monkeypatch):
+    # a census past the witness cap cannot feed the pair scan; the error
+    # says how many witnesses were kept, since the command has no limit
+    monkeypatch.setattr("qcgirth.mappings.DEFAULT_WITNESS_CAP", 5)
+    code, out, err = run(capsys, ["verify", "pairwise", "--n", "7"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "kept 5 of 19 witnesses" in err
 
 
 def test_verify_girth8_bound(capsys):

@@ -8,7 +8,6 @@ from qcgirth.lifting import (
     ParityCheckMatrix,
     ShiftMatrix,
     canonical_from_mapping,
-    cpm,
     export_alist,
     export_shift_matrix,
     import_alist,
@@ -42,12 +41,6 @@ shift_matrices = st.integers(min_value=1, max_value=4).flatmap(
         )
     )
 )
-
-
-def test_cpm():
-    assert cpm(1, 3) == frozenset({(0, 1), (1, 2), (2, 0)})
-    assert cpm(0, 2) == frozenset({(0, 0), (1, 1)})
-    assert cpm(5, 5) == cpm(0, 5)
 
 
 def test_shift_matrix_normalizes_entries():
@@ -178,6 +171,16 @@ def test_import_alist_rejects_malformed_text():
     mismatched[6], mismatched[7] = mismatched[7], mismatched[6]  # swap row lists
     with pytest.raises(AlistParseError, match="missing from column section"):
         import_alist("\n".join(mismatched))
+
+
+def test_import_alist_checks_declared_max_degrees():
+    good = export_alist(lift(ShiftMatrix(entries=((1,),), lifting_factor=2)))
+    lines = good.splitlines()
+    for maxima in ("2 1", "1 2", "1 0"):
+        lines[1] = maxima  # the lists below still hold one entry each
+        with pytest.raises(AlistParseError, match="max degrees") as info:
+            import_alist("\n".join(lines))
+        assert info.value.line == 2
 
 
 def test_shift_matrix_export_golden():

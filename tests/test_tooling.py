@@ -56,6 +56,24 @@ def test_benchmark_jobs_parse(monkeypatch, tmp_path):
         parser.parse_args(argv)
 
 
+def test_readme_commands_parse():
+    # every command line the README shows must still parse, so a deleted
+    # choice or a renamed option cannot leave the README stale
+    from qcgirth.cli import build_parser
+
+    parser = build_parser()
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    argvs = [
+        line.split("#")[0].split()[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("qcgirth ")
+    ]
+    assert len(argvs) >= 10
+    for argv in argvs:
+        parser.parse_args(argv)
+
+
 def _reached_functions(path, root):
     """Module-level functions of path that root reaches by name, root included."""
     tree = ast.parse(path.read_text())
