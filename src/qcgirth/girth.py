@@ -115,15 +115,15 @@ def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
     adj = _adjacency(h)
     girth: Optional[int] = None
-    first = -1  # smallest vertex on a cycle of length girth
+    first, first_dist = -1, []  # smallest vertex on a girth cycle, its BFS levels
     pairs = 0  # rooted shortest cycles: each cycle once per vertex on it
     for root in range(len(adj)):
         found = _root_cycles(adj, root, cap if girth is None else girth)
         if found is None:
             continue
-        length, through = found
+        length, through, dist = found
         if girth is None or length < girth:
-            girth, first, pairs = length, root, 0
+            girth, first, first_dist, pairs = length, root, dist, 0
         pairs += through
     if girth is None:
         return GirthReport(girth=None, shortest_cycle_count=0, cap=cap, method="bfs")
@@ -134,19 +134,20 @@ def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
         shortest_cycle_count=pairs // girth,
         cap=cap,
         method="bfs",
-        witness=_orient_witness(_first_cycle(adj, girth, first), h.n_rows),
+        witness=_orient_witness(_first_cycle(adj, girth, first, first_dist), h.n_rows),
     )
 
 
 def _root_cycles(
     adj: list[list[int]], root: int, bound: int
-) -> Optional[tuple[int, int]]:
-    """(2d + 2, pairs) for the first level d whose expansion from root
+) -> Optional[tuple[int, int, list[int]]]:
+    """(2d + 2, pairs, dist) for the first level d whose expansion from root
     reaches a vertex of level d + 1 twice, if 2d + 2 <= bound, else None.
 
     sigma(x) counts the shortest paths from root to x.  The closing level
-    is expanded to the end, and pairs is the sum of C(sigma(x), 2) over
-    the vertices x of level d + 1.
+    is expanded to the end, so dist holds every BFS level from root up to
+    d + 1 (-1 beyond), and pairs is the sum of C(sigma(x), 2) over the
+    vertices x of level d + 1.
     """
     size = len(adj)
     dist = [-1] * size
@@ -168,7 +169,7 @@ def _root_cycles(
                     sigma[w] += paths
                     closed = True
         if closed:
-            return 2 * d + 2, sum(sigma[x] * (sigma[x] - 1) for x in nxt) // 2
+            return 2 * d + 2, sum(sigma[x] * (sigma[x] - 1) for x in nxt) // 2, dist
         level = nxt
         d += 1
     return None
@@ -181,24 +182,16 @@ def _orient_witness(cycle: list[int], n_checks: int) -> tuple[str, ...]:
     return tuple(_label(v, n_checks) for v in rotated)
 
 
-def _first_cycle(adj: list[list[int]], girth: int, s: int) -> list[int]:
+def _first_cycle(
+    adj: list[list[int]], girth: int, s: int, dist: list[int]
+) -> list[int]:
     """The first length-girth cycle with minimum vertex s, by canonical DFS.
 
     The walk visits only vertices > s, and kills the reflection by
-    requiring second vertex < last vertex.  BFS distances from s prune
-    paths that cannot close within the budget.
+    requiring second vertex < last vertex.  dist holds the BFS levels from
+    s up to girth / 2, as _root_cycles leaves them, and prunes paths that
+    cannot close within the budget.
     """
-    dist = [-1] * len(adj)
-    dist[s] = 0
-    level = [s]
-    for d in range(1, girth // 2 + 1):
-        nxt = []
-        for u in level:
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        level = nxt
     root_adj = set(adj[s])
     path = [s]
 

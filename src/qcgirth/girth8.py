@@ -48,6 +48,8 @@ class Girth8Table:
 
     def __post_init__(self) -> None:
         n = self.modulus
+        if n < 1:
+            raise ValueError(f"modulus must be >= 1, got {n}")
         if len(self.col_headers) != len(self.row_headers):
             raise ValueError("header lengths differ")
         if len(self.col_headers) < 2:

@@ -53,9 +53,6 @@ class ShiftMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def __getitem__(self, j: int) -> tuple[int, ...]:
-        return self.entries[j]
-
     def is_canonical(self) -> bool:
         """True when the first row and first column are all zero."""
         return all(v == 0 for v in self.entries[0]) and all(

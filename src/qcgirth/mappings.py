@@ -47,9 +47,6 @@ class Permutation:
     def modulus(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i % self.modulus]
-
 
 @dataclass(frozen=True)
 class CompleteMapping(Permutation):
@@ -279,6 +276,17 @@ def almost_complete_mapping(n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _mates(
+    rows: Sequence[Sequence[int]], n: int, pairs: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """Yield, in order, each index pair (i, j) from pairs whose rows are
+    mates: the columnwise differences rows[j] - rows[i] mod n are all
+    distinct.  The rows are not validated."""
+    for i, j in pairs:
+        if len({(b - a) % n for a, b in zip(rows[i], rows[j])}) == n:
+            yield i, j
+
+
 def is_complete_mapping_of(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
     """True iff the columnwise differences row_b - row_a mod N are all distinct.
 
@@ -292,7 +300,7 @@ def is_complete_mapping_of(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
     n = len(row_a)
     if sorted(row_a) != list(range(n)) or sorted(row_b) != list(range(n)):
         raise ValueError("rows must be permutations of 0..N-1")
-    return len({(row_b[i] - row_a[i]) % n for i in range(n)}) == n
+    return any(_mates((row_a, row_b), n, [(0, 1)]))
 
 
 def compatible_pairs(
@@ -305,22 +313,16 @@ def compatible_pairs(
     lexicographic order; after max_checks checks, raises BudgetError
     carrying the pairs found so far.
     """
-    if census.truncated or len(census.samples) != census.count:
+    if len(census.samples) != census.count:
         raise ValueError(
             f"census kept {len(census.samples)} of {census.count} witnesses; "
             "the pair scan needs all of them"
         )
     if max_checks is not None and max_checks < 0:
         raise ValueError(f"check budget must be >= 0, got {max_checks}")
-    # the rows are permutations by type, so is_complete_mapping_of's
-    # validation is skipped and only the differences are tested
-    n = census.modulus
     rows = [m.images for m in census.samples]
-    out = [
-        (i, j)
-        for i, j in islice(combinations(range(len(rows)), 2), max_checks)
-        if len({(b - a) % n for a, b in zip(rows[i], rows[j])}) == n
-    ]
+    pairs = islice(combinations(range(len(rows)), 2), max_checks)
+    out = list(_mates(rows, census.modulus, pairs))
     if max_checks is not None and max_checks < math.comb(len(rows), 2):
         raise BudgetError(
             f"check budget exhausted after {max_checks} pair checks "

@@ -37,6 +37,7 @@ from .lifting import ShiftMatrix, canonical_from_mapping
 # enumerate_complete_mappings, and tests/test_tooling.py checks that
 from .mappings import (
     BudgetError,
+    _mates,
     compatible_pairs,  # noqa: F401
     enumerate_complete_mappings,
     product_mapping,
@@ -94,13 +95,9 @@ def _exists_at_n(
         return None, nodes_in
     if target_girth == 6 and n == l and j >= 4:
         census = enumerate_complete_mappings(l)
-        # as in compatible_pairs, the rows are permutations by type, so
-        # is_complete_mapping_of's validation (twice the cost) is skipped
         rows = [m.images for m in census.samples]
-        if not census.truncated and not any(
-            len({(b - a) % l for a, b in zip(row_a, row_b)}) == l
-            for row_a, row_b in combinations(rows, 2)
-        ):
+        pairs = combinations(range(len(rows)), 2)
+        if not census.truncated and next(_mates(rows, l, pairs), None) is None:
             return None, nodes_in
     witness, nodes = _backtrack(j, l, n, target_girth == 8, budget, nodes_in)
     if witness is not None and not has_girth_at_least(witness, target_girth):
@@ -210,6 +207,8 @@ def exists_code(
     """Exhaustive (under canonical reductions) existence check at fixed N."""
     if j < 2 or l < 2:
         raise ValueError(f"need J >= 2 and L >= 2, got ({j}, {l})")
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
     witness, _ = _exists_at_n(j, l, n, target_girth, budget, 0)
     return (witness is not None), witness
 
@@ -252,7 +251,7 @@ def girth6_even_L(l: int) -> ShiftMatrix:
     if l < 4 or l % 2:
         raise ValueError(f"L must be even and >= 4, got {l}")
     n = l + 1
-    full = canonical_from_mapping(product_mapping(2, n))
+    full = girth6_odd_L_explicit(n)
     trimmed = ShiftMatrix(
         entries=tuple(row[:l] for row in full.entries), lifting_factor=n
     )

@@ -73,6 +73,13 @@ def test_build_g8_table_rejects_bad_input():
         )
 
 
+def test_table_rejects_modulus_below_1():
+    # modulus 0 used to raise ZeroDivisionError, and -5 gave negative headers
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"modulus must be >= 1, got {n}"):
+            Girth8Table(modulus=n, col_headers=(1, 2), row_headers=(3, 4))
+
+
 def test_all_zero_table_is_invalid():
     p = ShiftMatrix(entries=((0,) * 4, (0,) * 4, (0,) * 4), lifting_factor=9)
     verdict = validate_g8_table(build_g8_table(p))

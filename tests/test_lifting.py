@@ -46,7 +46,6 @@ shift_matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_shift_matrix_normalizes_entries():
     p = ShiftMatrix(entries=((-1, 7),), lifting_factor=5)
     assert p.entries == ((4, 2),)
-    assert p[0] == (4, 2)
 
 
 def test_shift_matrix_validation():

@@ -172,6 +172,14 @@ def test_exists_code_validation():
         exists_code(1, 4, 5, 6)
 
 
+def test_exists_code_rejects_lifting_factor_below_1():
+    # N = 0 used to answer (False, None), and N = -1 failed in the kernel
+    # with "negative shift count"
+    for j, l, n, girth in ((3, 4, 0, 6), (2, 3, -1, 8), (4, 5, -5, 6)):
+        with pytest.raises(ValueError, match=f"need N >= 1, got {n}"):
+            exists_code(j, l, n, girth)
+
+
 def test_exists_code_checks_its_witness(monkeypatch):
     # every witness, J = 3 and J = 4 at N = L alike, comes from the
     # backtracking kernel and goes to the shift oracle before it is returned
@@ -191,6 +199,15 @@ def test_certificate_matches_clique_route():
             assert found == (clique_route(j, l) is not None), (j, l)
             if found:
                 assert_girth_exactly_6(witness)
+
+
+def test_certificate_matches_kernel_at_n_equals_l():
+    # the no-mate certificate against the backtracking kernel alone, which
+    # shares no code with the mate scan: mates exist at L = 5 and 7 only
+    for l, want in ((3, False), (5, True), (7, True), (9, False)):
+        kernel = search._backtrack(4, l, l, False, None, 0)[0] is not None
+        assert kernel is want, l
+        assert exists_code(4, l, l, 6)[0] is kernel, l
 
 
 def test_truncated_census_is_no_certificate(monkeypatch):
