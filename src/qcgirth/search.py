@@ -22,6 +22,25 @@ over the rows p < q already filled; ints serve as the bitsets.  So only
 columns that pass the masks of all their row pairs are ever built, in
 lexicographic order.  Such a column is one search node: the unit of the
 node count and of the node budget.
+
+Counting rows and columns from 0, column 1's row-1 entry x1, the smallest
+nonzero entry of row 1, is drawn from the divisors of N only (the
+unit-scaling cut); at prime N that is 1 alone.  The cut keeps the first
+canonical witness, so every N is still exhausted and every minimum and
+witness stays the same:
+
+- Fossorier's condition is linear, so multiplying every entry by a unit
+  u of Z/N keeps the girth, and keeps row 0 and column 0 zero.
+- For each a in Z/N there is a unit u with u*a = gcd(a, N) mod N: with
+  g = gcd(a, N), a/g is a unit mod N/g, and every unit mod N/g lifts to
+  a unit mod N.
+- Scale a canonical witness with x1 = a by that u, re-sort its columns
+  by row 1 and its rows 2..J-1 by column 1.  Both are permutations that
+  keep the girth, and the result is a canonical witness whose x1 is the
+  smallest scaled row-1 entry, so at most gcd(a, N).
+- Columns are compared from column 1 on, so the lexicographically first
+  witness has the smallest x1 of all witnesses.  Hence its x1 equals
+  gcd(x1, N), that is, x1 divides N.
 """
 
 from __future__ import annotations
@@ -76,8 +95,12 @@ def _exists_at_n(
     bounded by the budget.  Returns (witness, nodes) with nodes counted on
     from nodes_in, and raises BudgetError when nodes reach budget.
 
-    At N = L and J >= 4, row 2 of a canonical girth-6 matrix is 0..L-1,
-    so rows 3 and 4 are complete mappings of Z/L that are mates: their
+    At N = L and J >= 3, row 2 of a canonical girth-6 matrix is 0..L-1,
+    so row 3 is a complete mapping of Z/L.  For even L none exists (Hall
+    and Paige, 1955): the differences p(i) - i of a complete mapping sum
+    to 0 mod L, while a permutation of Z/L sums to L/2.  So even N = L is
+    ruled out before any census or backtracking, at J >= 4 too.  For odd
+    L and J >= 4, rows 3 and 4 are complete mappings that are mates: their
     columnwise differences are all distinct.  When the census of Z/L holds
     every mapping and no two of them are mates, no such matrix exists.
     The pairs are tested until the first mate pair; a census cut short by
@@ -93,6 +116,8 @@ def _exists_at_n(
         # rows 2 and 3 of a canonical girth-8 matrix need 2(L-1) distinct
         # nonzero residues; two-row matrices escape this bound
         return None, nodes_in
+    if target_girth == 6 and n == l and j >= 3 and l % 2 == 0:
+        return None, nodes_in  # Z/L has no complete mapping for even L
     if target_girth == 6 and n == l and j >= 4:
         census = enumerate_complete_mappings(l)
         rows = [m.images for m in census.samples]
@@ -118,7 +143,9 @@ def _backtrack(
     leaves room for the columns still to come, and in column 1 rows
     2..J-1 ascend.  That is the whole row-block tie-break: rows tie only
     on the all-zero column 0, and since every mask holds residue 0, each
-    later column has distinct entries and breaks every tie.
+    later column has distinct entries and breaks every tie.  Row 1 of
+    column 1 is also drawn from the divisors of N only: the unit-scaling
+    cut of the module docstring, which keeps the first witness.
     A node is one complete column, so one that passes the masks of all its
     row pairs.  It is counted after the budget test, and the search goes
     on to column c + 1 with the masks that column adds.  Columns come out
@@ -129,6 +156,10 @@ def _backtrack(
     # below[q] pairs each row p < q with the index of mask(p, q)
     below = [[(p, row_pairs.index((p, q))) for p in range(q)] for q in range(j)]
     full = (1 << n) - 1
+    # row 1 of column c leaves room for the l - 1 - c columns after it,
+    # and row 1 of column 1 divides N
+    room = [full >> (l - 1 - c) for c in range(l)]
+    room[1] &= sum(1 << d for d in range(1, n) if n % d == 0)
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
 
@@ -161,7 +192,7 @@ def _backtrack(
             m, s = masks[i], y[p]
             free &= ~((m << s) | (m >> (n - s)))
         if q == 1:  # ascending, and leaving room for the later columns
-            free &= (full >> (l - 1 - c)) & (-2 << cols[-1][1])
+            free &= room[c] & (-2 << cols[-1][1])
         elif c == 1 and q >= 3:  # the row-block tie-break
             free &= -1 << y[q - 1]
         while free:

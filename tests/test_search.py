@@ -113,6 +113,85 @@ def tails_backtrack(j, l, n, want8, budget, nodes_in):
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
 
 
+def uncut_backtrack(j, l, n, want8, budget, nodes_in):
+    """In-test reference: search._backtrack without the unit-scaling cut.
+
+    Column 1's row-1 entry ranges over every residue, not only the
+    divisors of N.  Same masks, bounds and visiting order otherwise, so
+    the kernel must find the same witness, in no more nodes.
+    """
+    row_pairs = list(combinations(range(j), 2))  # p < q
+    # below[q] pairs each row p < q with the index of mask(p, q)
+    below = [[(p, row_pairs.index((p, q))) for p in range(q)] for q in range(j)]
+    full = (1 << n) - 1
+    cols: list[tuple[int, ...]] = [(0,) * j]
+    nodes = nodes_in
+
+    def place(masks: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+        # the residues of y[q] - y[p] that column x forbids to later columns
+        # y, on top of what the placed columns (cols, without x) forbid
+        out = []
+        for m, (p, q) in zip(masks, row_pairs):
+            m |= 1 << ((x[q] - x[p]) % n)  # 4-cycle on columns x, y
+            if want8:
+                # 6-cycles on columns x, z, y through rows p, q, r
+                for r in range(j):
+                    if r != p and r != q:
+                        a, b = x[q] - x[r], x[r] - x[p]
+                        for z in cols:
+                            m |= 1 << ((a + z[r] - z[p]) % n)
+                            m |= 1 << ((b + z[q] - z[r]) % n)
+            out.append(m)
+        return tuple(out)
+
+    def fill(
+        c: int, masks: tuple[int, ...], y: list[int]
+    ) -> Optional[list[tuple[int, ...]]]:
+        # draw row q = len(y) of column c, then the rows below it and the
+        # columns after it; returns every column of a witness, or None
+        nonlocal nodes
+        q = len(y)
+        free = full
+        for p, i in below[q]:
+            m, s = masks[i], y[p]
+            free &= ~((m << s) | (m >> (n - s)))
+        if q == 1:  # ascending, and leaving room for the later columns
+            free &= (full >> (l - 1 - c)) & (-2 << cols[-1][1])
+        elif c == 1 and q >= 3:  # the row-block tie-break
+            free &= -1 << y[q - 1]
+        while free:
+            low = free & -free
+            free ^= low
+            y.append(low.bit_length() - 1)
+            if q + 1 < j:
+                hit = fill(c, masks, y)
+            else:
+                if budget is not None and nodes >= budget:
+                    raise BudgetError(
+                        f"node budget exhausted after {nodes} nodes",
+                        SearchResult(min_n=None, witness=None, nodes=nodes),
+                    )
+                nodes += 1
+                x = tuple(y)
+                if c + 1 == l:
+                    return cols + [x]
+                next_masks = place(masks, x)
+                cols.append(x)
+                hit = fill(c + 1, next_masks, [0])
+                cols.pop()
+            y.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    # column 0 is all zeros, so it forbids difference 0 on every row pair
+    hit = fill(1, (1,) * len(row_pairs), [0])
+    if hit is None:
+        return None, nodes
+    entries = tuple(tuple(col[r] for col in hit) for r in range(j))
+    return ShiftMatrix(entries=entries, lifting_factor=n), nodes
+
+
 def clique_route(j: int, l: int) -> Optional[ShiftMatrix]:
     """Girth-6 existence at N = L for J >= 4 via pairwise complete mappings.
 
@@ -284,6 +363,54 @@ def test_kernel_matches_tails_reference(monkeypatch):
     assert [r.min_n for r in got] == [5, 7, 9, 13, None, 5, 7, 10, 5, 7]
 
 
+def test_unit_scaling_cut_keeps_every_witness():
+    # column 1's row-1 entry is drawn from the divisors of N only; the
+    # first canonical witness has such an entry, so existence and witness
+    # match the uncut kernel at every N
+    cases = [
+        (3, l, n, want8)
+        for l in (4, 5, 6)
+        for want8 in (False, True)
+        for n in range(1, 21)
+    ] + [(4, 4, n, want8) for want8 in (False, True) for n in range(1, 17)]
+    witnesses = 0
+    for j, l, n, want8 in cases:
+        got, nodes = search._backtrack(j, l, n, want8, None, 0)
+        want, uncut_nodes = uncut_backtrack(j, l, n, want8, None, 0)
+        assert got == want, (j, l, n, want8)
+        assert nodes <= uncut_nodes, (j, l, n, want8)
+        witnesses += j == 3 and got is not None
+    assert witnesses == 69  # of the 120 cases at J = 3
+
+
+def test_even_n_equals_l_needs_no_search(monkeypatch):
+    # Z/L has no complete mapping for even L (Hall and Paige), so girth 6
+    # at even N = L is ruled out before any census or backtracking
+    for n in range(2, 13, 2):
+        assert enumerate_complete_mappings(n, limit=0).count == 0, n
+    for l in range(4, 13, 2):
+        assert search._backtrack(3, l, l, False, None, 0)[0] is None, l
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched at even N = L")
+
+    monkeypatch.setattr(search, "_backtrack", no_search)
+    monkeypatch.setattr(search, "enumerate_complete_mappings", no_search)
+    for j in (3, 4, 5):
+        for l in range(4, 13, 2):
+            assert search._exists_at_n(j, l, l, 6, None, 7) == (None, 7), (j, l)
+
+
+def test_min_lifting_factor_girth8_l7():
+    # J = 3 girth 8 at L = 7: Tasdighi, Banihashemi and Sadeghi (2016) give
+    # 21.  The node count is pinned so that a pruning regression fails here
+    r = min_lifting_factor(3, 7, 8, 21)
+    assert (r.min_n, r.nodes) == (21, 1758447)
+    assert girth_from_shifts(r.witness, 8).girth == 8
+    assert girth_bfs(lift(r.witness), 8).girth == 8
+    assert check_girth8_conditions(r.witness).valid
+
+
 def test_min_lifting_factor_girth6():
     r = min_lifting_factor(3, 4, 6, 12)
     assert r.min_n == 5
@@ -340,7 +467,7 @@ def test_search_budget():
         min_lifting_factor(3, 6, 6, 7, budget=5)
     assert info.value.partial.nodes == 5
     assert str(info.value) == "node budget exhausted after 5 nodes"
-    # the search stops at its budget, never past it (6229 nodes in all)
+    # the search stops at its budget, never past it (4396 nodes in all)
     for budget in (0, 1, 5, 100):
         with pytest.raises(BudgetError) as info:
             min_lifting_factor(3, 5, 8, 14, budget=budget)
@@ -357,17 +484,18 @@ def test_search_node_counts():
     # so these counts, must not change without a reason.  A node is one
     # column that passes the masks of all its row pairs
     for args, want in (
-        ((3, 4, 8, 12), (9, 153)),
-        ((3, 5, 8, 14), (13, 6229)),
+        # girth 8: column 1's row-1 entry divides N (the unit-scaling cut)
+        ((3, 4, 8, 12), (9, 90)),
+        ((3, 5, 8, 14), (13, 4396)),
         ((4, 6, 6, 9), (7, 40)),
         ((5, 6, 6, 9), (7, 20)),
         ((4, 9, 6, 12), (10, 151)),
-        # N = L = 11 by backtracking; L = 10 is ruled out at N = L by the
-        # census of Z/10, which holds no complete mapping
+        # N = L = 11 by backtracking; L = 10 is ruled out at N = L because
+        # Z/10, of even order, has no complete mapping
         ((4, 11, 6, 14), (11, 3653)),
         ((4, 10, 6, 14), (11, 17539)),
         # exhausted at every N: 6x more nodes without the row tie-break
-        ((5, 4, 8, 12), (None, 2494)),
+        ((5, 4, 8, 12), (None, 992)),
     ):
         r = min_lifting_factor(*args)
         assert (r.min_n, r.nodes) == want, args

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import hashlib
 import importlib
 from pathlib import Path
 
@@ -54,6 +55,25 @@ def test_benchmark_jobs_parse(monkeypatch, tmp_path):
     assert argvs
     for argv in argvs:
         parser.parse_args(argv)
+
+
+def test_search_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
+    # the benchmark checks the stdout of its two search jobs against a
+    # digest; a report byte the search changes must fail here too
+    from qcgirth.cli import main
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    jobs = {
+        job.key: job
+        for name in ("girth8-frontier", "mates")
+        for job in workloads.prepare(name, str(tmp_path), 1)
+    }
+    for key in ("min-lift-g8", "min-lift-j4-l9"):
+        capsys.readouterr()
+        assert main(list(jobs[key].argv)) == 0, key
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == workloads.DIGESTS[key], key
 
 
 def test_readme_commands_parse():
