@@ -7,6 +7,10 @@ byte-identical across runs and worker counts; timing and other
 diagnostics go to stderr only.  Exit codes: 0 success, 1 a verified
 property was violated, 2 usage error (rejected input, or a file that
 cannot be read or written), 3 budget exhausted.
+
+The argument parser is built once per process, on the first call, and
+every call parses into a fresh namespace, so repeated in-process calls
+of main share no state.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -302,6 +307,7 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcgirth",

@@ -1,15 +1,17 @@
 """Tanner-graph girth by two independent methods, plus 4-cycle counting.
 
 girth_bfs works on the lifted binary matrix and knows nothing about the
-quasi-cyclic structure.  It runs a breadth-first search from every
-vertex, level by level (Itai & Rodeh, SIAM J. Comput. 1978).  The Tanner
-graph is bipartite, so a neighbour of a level-d vertex lies on level
-d - 1 or d + 1.  Expanding level d closes a cycle when it reaches some
-vertex x of level d + 1 twice: the two root-x paths form a closed walk
-of length 2d + 2, which holds a cycle of at most that length.  A root's
-search stops after the first level that closes, or before a level that
-could only close cycles longer than the shortest found so far (cap
-until one is found).
+quasi-cyclic structure.  It runs a breadth-first search from every check
+vertex, level by level (Itai & Rodeh, SIAM J. Comput. 1978).  A cycle of
+the bipartite Tanner graph alternates checks and variables, so every
+cycle passes through checks, and since checks are numbered before
+variables, the smallest vertex on a cycle is a check.  A neighbour of a
+level-d vertex lies on level d - 1 or d + 1.  Expanding level d closes a
+cycle when it reaches some vertex x of level d + 1 twice: the two root-x
+paths form a closed walk of length 2d + 2, which holds a cycle of at
+most that length.  A root's search stops after the first level that
+closes, or before a level that could only close cycles longer than the
+shortest found so far (cap until one is found).
 
 When the girth is g = 2d + 2, two distinct shortest paths of length g/2
 from a root s to x share no vertex but s and x, since otherwise they
@@ -18,10 +20,13 @@ its antipode, and each g-cycle through s is split this way by exactly
 one antipode.  The roots whose search closes at g are therefore exactly
 the vertices on a shortest cycle, and the g-cycles through s number
 sum_x C(sigma(x), 2), where x runs over level g/2 and sigma(x) counts
-the shortest s-x paths (Halford & Chugg, IEEE Trans. IT 2006).  Summed
-over every root, this counts each g-cycle once per vertex on it, g times
-in all.  The witness is the first cycle a canonical DFS meets from the
-smallest such root.
+the shortest s-x paths (Halford & Chugg, IEEE Trans. IT 2006).  No
+earlier level closed, so each vertex on levels < g/2 has one shortest
+path, and sigma(x) is the number of times the closing level reaches x.
+Summed over the check roots, this counts each g-cycle once per check on
+it, g/2 times in all.  The witness is the first cycle a canonical DFS
+meets from the smallest root that closes at g, which is the smallest
+vertex on any shortest cycle.
 
 girth_from_shifts never lifts: a length-2m cycle exists iff there are
 row indices j_0..j_{m-1} and column indices l_0..l_{m-1}, cyclically
@@ -106,7 +111,7 @@ def _label(v: int, n_checks: int) -> str:
 
 
 def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
-    """Exact girth if <= cap via BFS from every node, else infinite.
+    """Exact girth if <= cap via BFS from every check node, else infinite.
 
     Counts distinct shortest cycles as edge sets from shortest-path
     counts and returns one witness (see the module docstring).
@@ -116,8 +121,8 @@ def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
     adj = _adjacency(h)
     girth: Optional[int] = None
     first, first_dist = -1, []  # smallest vertex on a girth cycle, its BFS levels
-    pairs = 0  # rooted shortest cycles: each cycle once per vertex on it
-    for root in range(len(adj)):
+    pairs = 0  # rooted shortest cycles: each cycle once per check on it
+    for root in range(h.n_rows):
         found = _root_cycles(adj, root, cap if girth is None else girth)
         if found is None:
             continue
@@ -127,11 +132,11 @@ def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
         pairs += through
     if girth is None:
         return GirthReport(girth=None, shortest_cycle_count=0, cap=cap, method="bfs")
-    if pairs % girth:
+    if pairs % (girth // 2):
         raise RuntimeError(f"{pairs} rooted cycles do not split into {girth}-cycles")
     return GirthReport(
         girth=girth,
-        shortest_cycle_count=pairs // girth,
+        shortest_cycle_count=pairs // (girth // 2),
         cap=cap,
         method="bfs",
         witness=_orient_witness(_first_cycle(adj, girth, first, first_dist), h.n_rows),
@@ -144,32 +149,32 @@ def _root_cycles(
     """(2d + 2, pairs, dist) for the first level d whose expansion from root
     reaches a vertex of level d + 1 twice, if 2d + 2 <= bound, else None.
 
-    sigma(x) counts the shortest paths from root to x.  The closing level
-    is expanded to the end, so dist holds every BFS level from root up to
-    d + 1 (-1 beyond), and pairs is the sum of C(sigma(x), 2) over the
-    vertices x of level d + 1.
+    No earlier level closed, so each vertex up to level d has one shortest
+    path from root, and a vertex x of level d + 1 has one per time the
+    expansion reaches it.  hits[x] counts the repeat reaches of x, and the
+    k-th adds k to pairs, so pairs sums C(reaches, 2) over level d + 1.
+    The closing level is expanded to the end, so dist holds every BFS
+    level from root up to d + 1 (-1 beyond).
     """
     size = len(adj)
     dist = [-1] * size
-    sigma = [0] * size
-    dist[root], sigma[root] = 0, 1
+    hits = [0] * size
+    dist[root] = 0
     level = [root]
     d = 0
     while level and 2 * d + 2 <= bound:
         nxt = []
-        closed = False
+        pairs = 0
         for u in level:
-            paths = sigma[u]
             for w in adj[u]:
                 if dist[w] < 0:
                     dist[w] = d + 1
-                    sigma[w] = paths
                     nxt.append(w)
                 elif dist[w] > d:
-                    sigma[w] += paths
-                    closed = True
-        if closed:
-            return 2 * d + 2, sum(sigma[x] * (sigma[x] - 1) for x in nxt) // 2, dist
+                    hits[w] += 1
+                    pairs += hits[w]
+        if pairs:
+            return 2 * d + 2, pairs, dist
         level = nxt
         d += 1
     return None

@@ -428,3 +428,24 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call parses into a fresh
+    # namespace, so options of one call do not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    run(capsys, ["mappings", "count", "--n", "5"])
+    with pytest.raises(SystemExit) as info:
+        main(["mappings", "count"])
+    assert info.value.code == EXIT_USAGE
+    assert "requires --n" in capsys.readouterr().err
+    path = tmp_path / "p.shifts"
+    path.write_text(export_shift_matrix(girth6_odd_L_explicit(5, 2)))
+    code, out, _ = run(capsys, ["girth", "--input", str(path),
+                                "--method", "shifts", "--cap", "8"])
+    assert (code, out.count("cap 8")) == (EXIT_OK, 1)
+    code, out, _ = run(capsys, ["girth", "--input", str(path)])
+    assert code == EXIT_OK
+    assert out.count("cap 12") == 2 and "cap 8" not in out
+    assert "method shifts" in out and "method bfs" in out
+    assert out.endswith("agreement true\n")

@@ -446,6 +446,31 @@ def test_bfs_oracle_matches_full_depth_search():
     assert min(seen.values()) >= 20, seen
 
 
+def transpose(h):
+    """The same Tanner graph with checks and variables swapped."""
+    return ParityCheckMatrix(
+        h.n_cols, h.n_rows, frozenset((c, r) for r, c in h.adjacency)
+    )
+
+
+def test_bfs_oracle_invariant_under_transposition():
+    # H and its transpose are one graph, so girth and count agree although
+    # the roots, all on the check side, lie on opposite sides of it; the
+    # random graphs include ones with more checks than variables
+    rng = random.Random(2006)
+    graphs = [lift(random_shift_matrix(rng, (2, 4), (2, 6), (2, 20)))
+              for _ in range(60)]
+    graphs += [random_tanner_graph(rng)[1] for _ in range(300)]
+    wider = 0  # graphs with more checks than variables and a cycle
+    for h in graphs:
+        for cap in (4, 8, 12, 14):
+            a, b = girth_bfs(h, cap), girth_bfs(transpose(h), cap)
+            assert (a.girth, a.shortest_cycle_count) == \
+                (b.girth, b.shortest_cycle_count), (sorted(h.adjacency), cap)
+        wider += h.n_rows > h.n_cols and a.girth is not None
+    assert wider >= 30, wider
+
+
 # two of the girth-10 4 x 8 matrices of the benchmark's large-N jobs,
 # without its seeded transform; witnesses recorded from the tuple enumeration
 LARGE_N_CASES = (

@@ -113,12 +113,13 @@ def tails_backtrack(j, l, n, want8, budget, nodes_in):
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
 
 
-def uncut_backtrack(j, l, n, want8, budget, nodes_in):
+def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1):
     """In-test reference: search._backtrack without the unit-scaling cut.
 
     Column 1's row-1 entry ranges over every residue, not only the
-    divisors of N.  Same masks, bounds and visiting order otherwise, so
-    the kernel must find the same witness, in no more nodes.
+    divisors of N, unless the bitmask x1_mask narrows it.  Same masks,
+    bounds and visiting order otherwise, so the kernel must find the same
+    witness, in no more nodes.
     """
     row_pairs = list(combinations(range(j), 2))  # p < q
     # below[q] pairs each row p < q with the index of mask(p, q)
@@ -157,6 +158,8 @@ def uncut_backtrack(j, l, n, want8, budget, nodes_in):
             free &= ~((m << s) | (m >> (n - s)))
         if q == 1:  # ascending, and leaving room for the later columns
             free &= (full >> (l - 1 - c)) & (-2 << cols[-1][1])
+            if c == 1:
+                free &= x1_mask
         elif c == 1 and q >= 3:  # the row-block tie-break
             free &= -1 << y[q - 1]
         while free:
@@ -381,6 +384,29 @@ def test_unit_scaling_cut_keeps_every_witness():
         assert nodes <= uncut_nodes, (j, l, n, want8)
         witnesses += j == 3 and got is not None
     assert witnesses == 69  # of the 120 cases at J = 3
+
+
+def test_unit_scaling_cut_draws_x1_from_the_divisors():
+    # at an exhausted composite N the kernel visits exactly the nodes of
+    # the reference restricted to the divisors of N, and more than the
+    # reference restricted to x1 = 1, so its mask is the divisors, not {1}
+    pinned = {(3, 5, 12): (3018, 964), (3, 6, 12): (2266, 778), (3, 4, 8): (72, 32)}
+    cases = [
+        (3, l, n)
+        for l, first in ((4, 9), (5, 13), (6, 18))
+        for n in range(8, min(first, 13))
+        if any(n % d == 0 for d in range(2, n))
+    ] + [(4, 4, 12)]
+    counts = {}
+    for j, l, n in cases:
+        got, nodes = search._backtrack(j, l, n, True, None, 0)
+        assert got is None, (j, l, n)
+        divisors = sum(1 << d for d in range(1, n) if n % d == 0)
+        assert uncut_backtrack(j, l, n, True, None, 0, divisors) == (None, nodes)
+        _, unit_nodes = uncut_backtrack(j, l, n, True, None, 0, 1 << 1)
+        assert nodes > unit_nodes, (j, l, n)
+        counts[j, l, n] = (nodes, unit_nodes)
+    assert {case: counts[case] for case in pinned} == pinned
 
 
 def test_even_n_equals_l_needs_no_search(monkeypatch):
