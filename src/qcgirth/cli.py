@@ -81,7 +81,7 @@ def _census_report(census: MappingCensus) -> str:
         f"count {census.count}",
         f"witnesses {len(census.samples)}",
     ]
-    witnesses = (" ".join(str(v) for v in m.images) for m in census.samples)
+    witnesses = (" ".join(map(str, im)) for im in census.samples)
     return _report("census", chain(head, witnesses))
 
 
@@ -152,7 +152,7 @@ def _cmd_mappings(args: argparse.Namespace) -> Result:
         return EXIT_OK, _census_report(census)
     # count keeps no witnesses, so it prints the count line alone
     lines = [f"complete mappings of Z/{args.n}: {census.count}"]
-    lines.extend(" ".join(str(v) for v in m.images) for m in census.samples)
+    lines.extend(" ".join(map(str, im)) for im in census.samples)
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

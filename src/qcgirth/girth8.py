@@ -339,14 +339,14 @@ def verify_partition_bound(k: int, ell: int, l_prime: int) -> tuple[int, str]:
 
     Splits on k relative to sqrt(2L'-3): for large k a single block already
     pushes N past 3L'-1; for small k the chain-fit constraint forces
-    enough blocks.  Returns (bound, range_label) and raises if the bound
-    ever fell short.
+    enough blocks.  Returns (bound, range_label) and raises RuntimeError if
+    the bound ever fell short.
     """
     bound = partition_case_bound(k, ell, l_prime)
     threshold = math.isqrt(2 * l_prime - 3)
     label = "large-k" if k * k >= 2 * l_prime - 3 else "small-k"
     if bound < 3 * l_prime - 1:
-        raise AssertionError(
+        raise RuntimeError(
             f"bound {bound} < 3L'-1 = {3 * l_prime - 1} at (k={k}, ell={ell}, "
             f"L'={l_prime}, range {label}, sqrt threshold ~{threshold})"
         )

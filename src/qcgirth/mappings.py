@@ -62,20 +62,24 @@ class CompleteMapping(Permutation):
 class MappingCensus:
     """Exact count of complete mappings of Z/N plus retained witnesses.
 
-    samples holds witnesses in ascending lexicographic order of their image
-    sequences; truncated marks that the witness cap cut retention short.
+    samples holds the witnesses as image tuples (p(0), ..., p(N-1)), exactly
+    as the census kernel built them, in ascending lexicographic order.
     """
 
     modulus: int
     count: int
-    samples: tuple[CompleteMapping, ...]
-    truncated: bool
+    samples: tuple[tuple[int, ...], ...]
     nodes: int
+
+    @property
+    def truncated(self) -> bool:
+        """True iff the witness cap cut retention short."""
+        return self.count > len(self.samples)
 
 
 def difference_sequence(p: Permutation) -> tuple[int, ...]:
     """The sequence (p(i) - i mod N) for i = 0..N-1."""
-    n = p.modulus  # every census witness is checked here; a list beats a generator
+    n = p.modulus
     return tuple([(v - i) % n for i, v in enumerate(p.images)])
 
 
@@ -183,7 +187,7 @@ def enumerate_complete_mappings(
         raise ValueError(f"node budget must be >= 0, got {max_nodes}")
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
     count, nodes, budget_hit = 0, 0, False
-    images_list: list[tuple[int, ...]] = []
+    witnesses: list[tuple[int, ...]] = []
     # p(0) = 0, and p(1) = 1 would repeat difference 0; N = 1 has no p(1)
     prefixes = [(0,)] if n == 1 else [(0, v) for v in range(2, n)]
     branch = partial(_enumerate_branch, n, witness_cap, max_nodes)
@@ -197,19 +201,11 @@ def enumerate_complete_mappings(
         b_count, b_witnesses, b_nodes, budget_hit = part
         count += b_count
         nodes += b_nodes
-        images_list.extend(b_witnesses)
+        witnesses.extend(b_witnesses)
         if budget_hit:
             break
     results.close()  # stops the branches a pool still runs past the budget
-    del images_list[witness_cap:]
-    samples = tuple(CompleteMapping(im) for im in images_list)
-    census = MappingCensus(
-        modulus=n,
-        count=count,
-        samples=samples,
-        truncated=count > len(samples),
-        nodes=nodes,
-    )
+    census = MappingCensus(n, count, tuple(witnesses[:witness_cap]), nodes)
     if budget_hit:
         raise BudgetError(
             f"node budget exhausted after {nodes} nodes "
@@ -320,10 +316,9 @@ def compatible_pairs(
         )
     if max_checks is not None and max_checks < 0:
         raise ValueError(f"check budget must be >= 0, got {max_checks}")
-    rows = [m.images for m in census.samples]
-    pairs = islice(combinations(range(len(rows)), 2), max_checks)
-    out = list(_mates(rows, census.modulus, pairs))
-    if max_checks is not None and max_checks < math.comb(len(rows), 2):
+    pairs = islice(combinations(range(census.count), 2), max_checks)
+    out = list(_mates(census.samples, census.modulus, pairs))
+    if max_checks is not None and max_checks < math.comb(census.count, 2):
         raise BudgetError(
             f"check budget exhausted after {max_checks} pair checks "
             f"({len(out)} compatible pairs so far)",

@@ -120,7 +120,7 @@ def _exists_at_n(
         return None, nodes_in  # Z/L has no complete mapping for even L
     if target_girth == 6 and n == l and j >= 4:
         census = enumerate_complete_mappings(l)
-        rows = [m.images for m in census.samples]
+        rows = census.samples
         pairs = combinations(range(len(rows)), 2)
         if not census.truncated and next(_mates(rows, l, pairs), None) is None:
             return None, nodes_in

@@ -359,6 +359,15 @@ def test_verify_partition_bound_ranges():
     assert (bound, label) == (27, "small-k")
 
 
+def test_verify_partition_bound_raises_when_bound_falls_short(monkeypatch):
+    # a library invariant must survive python -O, so it is no assert
+    from qcgirth import girth8
+
+    monkeypatch.setattr(girth8, "partition_case_bound", lambda k, ell, lp: 3 * lp - 2)
+    with pytest.raises(RuntimeError, match=r"bound 13 < 3L'-1 = 14 at \(k=3, ell=1"):
+        verify_partition_bound(3, 1, 5)
+
+
 def test_partition_bound_dominates_everywhere():
     checked = 0
     for lp in range(5, 13):

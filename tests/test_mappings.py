@@ -140,12 +140,28 @@ def test_census_counts_even_are_zero():
         assert enumerate_complete_mappings(n).count == 0
 
 
+def test_census_samples_are_complete_mapping_tuples():
+    # the reference predicate is written out here, not is_complete_mapping:
+    # the samples are the kernel's own image tuples, checked by nothing else
+    for n in range(1, 14, 2):
+        census = enumerate_complete_mappings(n)
+        points = list(range(n))
+        for im in census.samples:
+            assert type(im) is tuple and all(type(v) is int for v in im), im
+            assert im[0] == 0 and sorted(im) == points, im
+            assert sorted((v - i) % n for i, v in enumerate(im)) == points, im
+        pairs = zip(census.samples, census.samples[1:])
+        assert all(a < b for a, b in pairs), f"N={n}"  # strictly ascending
+        assert len(census.samples) == census.count == ODD_COUNTS[n], f"N={n}"
+        assert not census.truncated
+
+
 def test_census_matches_brute_force_at_5_and_7():
     for n in (5, 7):
         brute = brute_force_mappings(n)
         census = enumerate_complete_mappings(n)
         assert census.count == len(brute)
-        assert [m.images for m in census.samples] == brute  # lex order both ways
+        assert list(census.samples) == brute  # lex order both ways
 
 
 def test_census_witness_limit():
@@ -173,7 +189,7 @@ def test_census_budget_error_carries_partial():
     for n in (1, 3):
         with pytest.raises(BudgetError) as info:
             enumerate_complete_mappings(n, max_nodes=0)
-        assert info.value.partial == MappingCensus(n, 0, (), False, 1)
+        assert info.value.partial == MappingCensus(n, 0, (), 1)
 
 
 def test_census_worker_fanout_is_deterministic():
@@ -328,7 +344,7 @@ def test_compatible_pairs_budget_grid():
     # a budget below the number of pairs raises with the mates among them
     for n in (5, 7, 9):
         census = enumerate_complete_mappings(n)
-        rows = [m.images for m in census.samples]
+        rows = census.samples
         order = list(itertools.combinations(range(len(rows)), 2))
         # the reference predicate is written out here: the library's
         # is_complete_mapping_of shares its mate test with compatible_pairs

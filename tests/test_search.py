@@ -220,9 +220,7 @@ def clique_route(j: int, l: int) -> Optional[ShiftMatrix]:
     clique = grow([], 0)
     if clique is None:
         return None
-    rows = ((0,) * l, tuple(range(l))) + tuple(
-        samples[idx].images for idx in clique
-    )
+    rows = ((0,) * l, tuple(range(l))) + tuple(samples[idx] for idx in clique)
     return ShiftMatrix(entries=rows, lifting_factor=l)
 
 
