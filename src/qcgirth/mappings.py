@@ -88,19 +88,21 @@ def is_complete_mapping(p: Permutation) -> bool:
     return p.images[0] == 0 and len(set(difference_sequence(p))) == p.modulus
 
 
-def _map_branches(fn: Callable, branches: Iterable, workers: int) -> Iterator:
+def _map_branches(fn: Callable, branches: Sequence, workers: int) -> Iterator:
     """Yield fn(branch) for each branch in order: in this process when
-    workers is 1, else from one pool of that many processes.
+    workers or the number of branches is 1, else from one pool of
+    min(workers, len(branches)) processes.
 
     Leaving the pool terminates its workers, so closing the generator early
     stops the branches still in flight instead of waiting for them.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
+    processes = min(workers, len(branches))
+    if processes <= 1:
         yield from map(fn, branches)
     else:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(processes) as pool:
             yield from pool.imap(fn, branches)
 
 
@@ -175,9 +177,25 @@ def enumerate_complete_mappings(
     limit caps retained witnesses (default 10^6); the count stays exact
     either way.  max_nodes bounds the backtracking steps of the whole
     census and raises BudgetError carrying the partial census when
-    exceeded.  The search runs as one branch per pinned prefix (p(0), p(1));
-    workers fans the branches out over processes, and the census, partial
-    or not, is identical for every worker count.
+    exceeded.  The census runs as one branch per pinned prefix (p(0), p(1))
+    and nodes counts the nodes of every branch, but only the branches with
+    p(1) = v <= (1 - v) mod N are searched; workers fans those out over
+    processes.  The census, partial or not, is identical for every worker
+    count.
+
+    Each other branch is the mirror of a searched one under p -> q with
+    q(i) = i - p(i) mod N (Evans, Orthomorphism Graphs of Groups, LNM 1535,
+    1992).  The images of q are the differences of p negated, and the
+    differences of q, q(i) - i = -p(i), are the images of p negated.  So
+    a prefix of p repeats no image and no difference exactly when the
+    prefix of q of the same length repeats none: the map is a bijection
+    between the nodes of branch (0, v) and those of branch (0, 1 - v), and
+    between their complete mappings.  The mirrored branch thus has the
+    count and the nodes of its source, and its witnesses are the source's
+    mapped by q and sorted.  Its source precedes it in branch order, so it
+    was complete when the loop reaches the mirror, and the mirror needs no
+    witness the source did not keep: a source cut short by the witness cap
+    has already filled the cap.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
@@ -190,9 +208,23 @@ def enumerate_complete_mappings(
     witnesses: list[tuple[int, ...]] = []
     # p(0) = 0, and p(1) = 1 would repeat difference 0; N = 1 has no p(1)
     prefixes = [(0,)] if n == 1 else [(0, v) for v in range(2, n)]
+    # every searched branch precedes every mirrored one
+    searched = [pre for pre in prefixes if pre[-1] <= (1 - pre[-1]) % n]
     branch = partial(_enumerate_branch, n, witness_cap, max_nodes)
-    results = _map_branches(branch, prefixes, workers)
-    for part, prefix in zip(results, prefixes):
+    results = _map_branches(branch, searched, workers)
+    sources = {}  # searched parts by p(1)
+    for prefix in prefixes:
+        v, source = prefix[-1], (1 - prefix[-1]) % n
+        if v <= source:
+            part = sources[v] = next(results)
+        else:
+            s_count, s_witnesses, s_nodes, _ = sources[source]
+            mirrored = []
+            if len(witnesses) < witness_cap:
+                mirrored = sorted(
+                    tuple([(i - x) % n for i, x in enumerate(w)]) for w in s_witnesses
+                )
+            part = s_count, mirrored, s_nodes, False
         if max_nodes is not None and nodes and nodes + part[2] > max_nodes:
             # a serial census stops inside this branch: redo it in-process
             # with what is left of the budget, so it hits the budget there

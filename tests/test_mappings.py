@@ -1,5 +1,6 @@
 import itertools
 import math
+import multiprocessing
 import time
 from pathlib import Path
 
@@ -135,6 +136,76 @@ def test_census_kernel_matches_scan_reference():
                     assert got == want, (n, prefix, cap, budget)
 
 
+def mirror(images):
+    """q(i) = i - p(i) mod N, the map that sends branch p(1) = v to 1 - v."""
+    n = len(images)
+    return tuple((i - v) % n for i, v in enumerate(images))
+
+
+def test_census_branch_mirror():
+    # branch (0, v) and branch (0, 1 - v) have equal count and nodes, and
+    # id - p maps the witnesses of each onto those of the other
+    for n in range(3, 14):
+        parts = {
+            v: _enumerate_branch(n, DEFAULT_WITNESS_CAP, None, (0, v))
+            for v in range(2, n)
+        }
+        for v, (count, witnesses, nodes, hit) in parts.items():
+            m_count, m_witnesses, m_nodes, m_hit = parts[(1 - v) % n]
+            assert (count, nodes, hit) == (m_count, m_nodes, m_hit), (n, v)
+            assert sorted(map(mirror, witnesses)) == m_witnesses, (n, v)
+
+
+def unreduced_census(n, cap, budget):
+    """In-test reference: the serial census that searches every branch.
+
+    Returns (census, budget_hit); each branch gets what is left of the
+    budget, so the census stops at the node where the budget runs out.
+    """
+    prefixes = [(0,)] if n == 1 else [(0, v) for v in range(2, n)]
+    count = nodes = 0
+    witnesses = []
+    hit = False
+    for prefix in prefixes:
+        left = None if budget is None else budget - nodes
+        b_count, b_witnesses, b_nodes, hit = _enumerate_branch(n, cap, left, prefix)
+        count += b_count
+        nodes += b_nodes
+        witnesses += b_witnesses
+        if hit:
+            break
+    return MappingCensus(n, count, tuple(witnesses[:cap]), nodes), hit
+
+
+def test_census_matches_unreduced_census_grid():
+    # the mirrored census against the one that searches every branch: for
+    # each witness cap, budgets at the edges and middle of every branch,
+    # mirrored ones included, and one and two workers
+    compared = 0
+    for n in range(1, 12):
+        full, _ = unreduced_census(n, 0, None)
+        ends = [0]
+        for v in range(2, n):
+            ends.append(ends[-1] + _enumerate_branch(n, 0, None, (0, v))[2])
+        budgets = {None, 0, 1, full.nodes}
+        for lo, hi in zip(ends, ends[1:]):
+            budgets |= {hi - 1, hi, hi + 1, (lo + hi) // 2}
+        for cap in (0, 1, 7, DEFAULT_WITNESS_CAP):
+            limit = None if cap == DEFAULT_WITNESS_CAP else cap
+            for budget in budgets:
+                want, hit = unreduced_census(n, cap, budget)
+                for workers in (1, 2):
+                    if not hit:
+                        got = enumerate_complete_mappings(n, limit, budget, workers)
+                        assert got == want, (n, cap, budget, workers)
+                    else:
+                        with pytest.raises(BudgetError) as info:
+                            enumerate_complete_mappings(n, limit, budget, workers)
+                        assert info.value.partial == want, (n, cap, budget, workers)
+                    compared += 1
+    assert compared > 1000
+
+
 def test_census_counts_even_are_zero():
     for n in (2, 4, 6, 8):
         assert enumerate_complete_mappings(n).count == 0
@@ -179,12 +250,18 @@ def test_census_witness_limit():
 
 
 def test_census_budget_error_carries_partial():
-    with pytest.raises(BudgetError) as info:
-        enumerate_complete_mappings(9, max_nodes=50)
-    partial = info.value.partial
-    assert partial.modulus == 9
-    assert partial.count < 225
-    assert partial.nodes >= 50
+    # the exact stop: N = 9 runs out in its first branch, and 42000 nodes
+    # run out at N = 11 inside branch p(1) = 9, the mirror of p(1) = 3
+    for n, budget, nodes, count in ((9, 50, 51, 5), (11, 42000, 42001, 2835)):
+        with pytest.raises(BudgetError) as info:
+            enumerate_complete_mappings(n, max_nodes=budget)
+        partial = info.value.partial
+        assert (partial.modulus, partial.nodes, partial.count) == (n, nodes, count)
+        assert len(partial.samples) == count
+        assert str(info.value) == (
+            f"node budget exhausted after {nodes} nodes "
+            f"(partial count {count} for modulus {n})"
+        )
     # a zero budget stops N = 1 at its one node, with the partial N = 3 gives
     for n in (1, 3):
         with pytest.raises(BudgetError) as info:
@@ -205,6 +282,32 @@ def test_census_worker_fanout_is_deterministic():
         partials.append(info.value.partial)
     assert partials[0].nodes == 20001 and partials[0].count == 1389
     assert partials[1] == partials[0] and partials[2] == partials[0]
+
+
+def test_map_branches_starts_no_idle_processes(monkeypatch):
+    # the pool has at most one process per searched branch, and none when
+    # one branch is searched: N = 3 searches p(1) = 2, N = 7 p(1) = 2, 3, 4
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    serial = {n: enumerate_complete_mappings(n) for n in (3, 7)}
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert enumerate_complete_mappings(3, workers=4) == serial[3]
+    assert started == []
+    assert enumerate_complete_mappings(7, workers=4) == serial[7]
+    assert started == [3]
 
 
 def _slow_branch(branch):

@@ -410,8 +410,11 @@ def test_unit_scaling_cut_draws_x1_from_the_divisors():
 def test_even_n_equals_l_needs_no_search(monkeypatch):
     # Z/L has no complete mapping for even L (Hall and Paige), so girth 6
     # at even N = L is ruled out before any census or backtracking
-    for n in range(2, 13, 2):
-        assert enumerate_complete_mappings(n, limit=0).count == 0, n
+    for n in range(2, 15, 2):
+        census = enumerate_complete_mappings(n, limit=0)
+        assert census.count == 0, n
+    # Z/14's whole tree, mirrored branches included, shows it is empty
+    assert census.nodes == 9819544
     for l in range(4, 13, 2):
         assert search._backtrack(3, l, l, False, None, 0)[0] is None, l
 

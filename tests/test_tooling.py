@@ -84,6 +84,26 @@ def test_search_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == workloads.DIGESTS[key], key
 
 
+def test_census_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
+    # the census jobs' stdout against the benchmark's digests, and the
+    # two-worker count byte for byte against the serial one
+    from qcgirth.cli import main
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    jobs = {job.key: job for job in workloads.prepare("census", str(tmp_path), 1)}
+    outs = {}
+    for key in ("census-count-13", "census-count-13-w2", "census-enum-11",
+                "census-enum-13"):
+        capsys.readouterr()
+        assert main(list(jobs[key].argv)) == 0, key
+        outs[key] = capsys.readouterr().out
+    for key in ("census-count-13", "census-enum-11", "census-enum-13"):
+        digest = hashlib.sha256(outs[key].encode()).hexdigest()
+        assert digest == workloads.DIGESTS[key], key
+    assert outs["census-count-13-w2"] == outs["census-count-13"]
+
+
 def test_readme_commands_parse():
     # every command line the README shows must still parse, so a deleted
     # choice or a renamed option cannot leave the README stale
