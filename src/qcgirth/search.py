@@ -23,30 +23,62 @@ columns that pass the masks of all their row pairs are ever built, in
 lexicographic order.  Such a column is one search node: the unit of the
 node count and of the node budget.
 
-Counting rows and columns from 0, column 1's row-1 entry x1, the smallest
-nonzero entry of row 1, is drawn from the divisors of N only (the
-unit-scaling cut); at prime N that is 1 alone.  The cut keeps the first
-canonical witness, so every N is still exhausted and every minimum and
-witness stays the same:
+Counting rows and columns from 0, write x1 for column 1's row-1 entry,
+the smallest nonzero entry of row 1.  The search prunes by a lex-leader
+test: it drops a prefix when every completion of it has an equivalent
+canonical matrix that is lexicographically smaller.  The first canonical
+witness is never dropped, so every N is still exhausted and every
+minimum and witness stays the same:
 
-- Fossorier's condition is linear, so multiplying every entry by a unit
-  u of Z/N keeps the girth, and keeps row 0 and column 0 zero.
-- For each a in Z/N there is a unit u with u*a = gcd(a, N) mod N: with
-  g = gcd(a, N), a/g is a unit mod N/g, and every unit mod N/g lifts to
-  a unit mod N.
-- Scale a canonical witness with x1 = a by that u, re-sort its columns
-  by row 1 and its rows 2..J-1 by column 1.  Both are permutations that
-  keep the girth, and the result is a canonical witness whose x1 is the
-  smallest scaled row-1 entry, so at most gcd(a, N).
-- Columns are compared from column 1 on, so the lexicographically first
-  witness has the smallest x1 of all witnesses.  Hence its x1 equals
-  gcd(x1, N), that is, x1 divides N.
+- The equivalences.  Fossorier's condition is an alternating sum of
+  shifts, so it is kept by adding a constant to a row or a column, by
+  multiplying every entry by a unit u of Z/N, and by permuting rows or
+  columns.  Take a matrix M with no 4-cycle, a column w, ordered rows
+  r0 != r1 and a unit u.  Let M'[r][c] = u*(M[r][c] - M[r][w] - M[r0][c]
+  + M[r0][w]), put row r0 first and row r1 second, the columns in order
+  of row r1 (column w first) and the other rows in order of the new
+  column 1.  No 4-cycle makes row r1 and each column of M' distinct
+  residues, so the result T is canonical, with the girth of M.
+- The order.  Columns are compared from column 1 on, and the search
+  builds canonical matrices in that order, so its first witness W is the
+  least canonical witness.  Every T(W) is a canonical witness too, so
+  T(W) >= W, and a rule that drops only matrices M with some T(M) < M
+  never drops W.
+- Write a = y - w for a column y != w of M, and d = a[r1] - a[r0], which
+  is row r1 of M' at column y before the scaling.  T's x1 is the least
+  u*d over the columns y != w.
+- The gcd half.  With g = gcd(d, N), d/g is a unit mod N/g, and every unit
+  mod N/g lifts to a unit mod N, so some unit u has u*d = g.  If g < x1,
+  T has a smaller x1 than M, so T(M) < M for every completion of any
+  prefix that holds w and y.  So y[r1] - y[r0] must miss w[r1] - w[r0] + B
+  for every earlier column w, where B = {d : gcd(d, N) < x1}.  B = -B,
+  so one rule serves both orders of a row pair.  B is fixed once column 1
+  is placed, and empty when x1 = 1, as it is at every prime N.  Then
+  mask(p, q) gains B itself for column 0 and B rotated by w[q] - w[p] as
+  each column w is placed, so no column after column 1 breaks the rule.  The unit-scaling cut is the case w = column 0, y =
+  column 1, (r0, r1) = (0, 1): then d = x1, so x1 <= gcd(x1, N), that is,
+  x1 divides N, and column 1's row-1 entry is drawn from the divisors of
+  N only.
+- The column-1 half.  If g = x1, each unit u with u*d = x1 gives a T
+  whose x1 is at most x1.  If it is smaller, T(M) < M.  If it is equal,
+  T's column 1 is the image of y: 0, x1, then the values u*(a[r] - a[r0])
+  of the other rows r, sorted.  When the least of them is below M's
+  column-1 entry in row 2, T(M) < M again, whatever columns follow.  For
+  J = 3 that is the whole comparison of the two columns 1.  Once column 1
+  is placed, one table per d lists the e = a[r] - a[r0] that so prune:
+  every e when gcd(d, N) < x1 (column 1 meets the gcd half against
+  column 0 here), and the e with u*e below column 1's row-2 entry for some
+  unit u with u*d = x1 otherwise.  Each complete column y is looked up
+  against each placed column w, for each (r0, r1) and each other row r.
+  Making y the zero column instead negates a and u, which gives the same
+  candidate, so one orientation is enough.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Optional
 
 from .girth import girth_from_shifts, has_girth_at_least
@@ -143,32 +175,89 @@ def _backtrack(
     leaves room for the columns still to come, and in column 1 rows
     2..J-1 ascend.  That is the whole row-block tie-break: rows tie only
     on the all-zero column 0, and since every mask holds residue 0, each
-    later column has distinct entries and breaks every tie.  Row 1 of
-    column 1 is also drawn from the divisors of N only: the unit-scaling
-    cut of the module docstring, which keeps the first witness.
+    later column has distinct entries and breaks every tie.  The
+    lex-leader test of the module docstring keeps the first witness: row 1
+    of column 1 is drawn from the divisors of N only, the masks of every
+    later column hold the gcd half, and each complete column is looked up
+    in the table that column 1 fixes.
     A node is one complete column, so one that passes the masks of all its
-    row pairs.  It is counted after the budget test, and the search goes
-    on to column c + 1 with the masks that column adds.  Columns come out
-    in lexicographic order, so the witness is the first canonical matrix
-    in column-by-column lexicographic order.
+    row pairs.  It is counted after the budget test; unless the table
+    prunes it, the search goes on to column c + 1 with the masks that
+    column adds.  Columns come out in lexicographic order, so the witness
+    is the first canonical matrix in column-by-column lexicographic order.
     """
     row_pairs = list(combinations(range(j), 2))  # p < q
     # below[q] pairs each row p < q with the index of mask(p, q)
     below = [[(p, row_pairs.index((p, q))) for p in range(q)] for q in range(j)]
+    # the ordered row pairs (r0, r1) of the column-1 half, with their other rows
+    orders = [
+        (r0, r1, [r for r in range(j) if r != r0 and r != r1])
+        for r0 in range(j)
+        for r1 in range(j)
+        if r0 != r1
+    ]
     full = (1 << n) - 1
+    # per x1 | N: gaps[x1] is the set B of the gcd half, and forbids[x1][s]
+    # the residues s + d with d = 0 (the 4-cycle) or d in B
+    gaps = {
+        x1: sum(1 << d for d in range(1, n) if gcd(d, n) < x1)
+        for x1 in range(1, n)
+        if n % x1 == 0
+    }
     # row 1 of column c leaves room for the l - 1 - c columns after it,
     # and row 1 of column 1 divides N
     room = [full >> (l - 1 - c) for c in range(l)]
-    room[1] &= sum(1 << d for d in range(1, n) if n % d == 0)
+    room[1] &= sum(1 << x1 for x1 in gaps)
+    forbids = {
+        x1: [((b | 1) << s | (b | 1) >> (n - s)) & full for s in range(n)]
+        for x1, b in gaps.items()
+    }
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
+    # both set as column 1 is placed: forbid = forbids[x1], and beats, the
+    # lex-leader table (None when it prunes nothing)
+    forbid: list[int] = []
+    beats: Optional[list[int]] = None
+
+    def table(col1: tuple[int, ...]) -> Optional[list[int]]:
+        # beats[d] holds the e = a[r] - a[r0] that prune with d = a[r1] - a[r0]:
+        # every e when gcd(d, N) < x1, and when gcd(d, N) = x1 the e with
+        # u*e < col1[2] for a unit u with u*d = x1.  Values u*e of 0 or x1
+        # close 4-cycles, and one in B prunes through the pair (r0, r), so
+        # only the other values below col1[2] are listed
+        if j < 3:
+            return None
+        x1, top = col1[1], col1[2]
+        gap = gaps[x1]
+        values = [v for v in range(1, top) if v != x1 and not gap >> v & 1]
+        if not gap and not values:
+            return None
+        out = [full if gap >> d & 1 else 0 for d in range(n)]
+        for w in units:  # w = 1/u, so d = w*x1 and e = w*v
+            out[w * x1 % n] |= sum(1 << (w * v % n) for v in values)
+        return out
+
+    def beaten(x: tuple[int, ...]) -> bool:
+        # is there a placed column w and ordered rows (r0, r1) whose
+        # equivalent canonical matrix has a smaller column 1?  a = x - w
+        for w in cols:
+            a = [xr - wr for xr, wr in zip(x, w)]
+            for r0, r1, rest in orders:
+                b = beats[(a[r1] - a[r0]) % n]
+                if b:
+                    for r in rest:
+                        if b >> ((a[r] - a[r0]) % n) & 1:
+                            return True
+        return False
 
     def place(masks: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
         # the residues of y[q] - y[p] that column x forbids to later columns
         # y, on top of what the placed columns (cols, without x) forbid
         out = []
         for m, (p, q) in zip(masks, row_pairs):
-            m |= 1 << ((x[q] - x[p]) % n)  # 4-cycle on columns x, y
+            # 4-cycle on columns x, y, and the gcd half
+            m |= forbid[(x[q] - x[p]) % n]
             if want8:
                 # 6-cycles on columns x, z, y through rows p, q, r
                 for r in range(j):
@@ -185,7 +274,7 @@ def _backtrack(
     ) -> Optional[list[tuple[int, ...]]]:
         # draw row q = len(y) of column c, then the rows below it and the
         # columns after it; returns every column of a witness, or None
-        nonlocal nodes
+        nonlocal nodes, forbid, beats
         q = len(y)
         free = full
         for p, i in below[q]:
@@ -211,10 +300,18 @@ def _backtrack(
                 x = tuple(y)
                 if c + 1 == l:
                     return cols + [x]
-                next_masks = place(masks, x)
-                cols.append(x)
-                hit = fill(c + 1, next_masks, [0])
-                cols.pop()
+                if c == 1:
+                    # x1 fixes B and the table; the masks so far are column
+                    # 0's, which forbid forbid[0], that is 0 and B
+                    forbid, beats = forbids[x[1]], table(x)
+                    masks = (forbid[0],) * len(row_pairs)
+                if beats is not None and beaten(x):
+                    hit = None
+                else:
+                    next_masks = place(masks, x)
+                    cols.append(x)
+                    hit = fill(c + 1, next_masks, [0])
+                    cols.pop()
             y.pop()
             if hit is not None:
                 return hit

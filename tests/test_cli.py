@@ -1,3 +1,6 @@
+import os
+import threading
+
 import pytest
 
 from qcgirth import cli
@@ -268,6 +271,15 @@ def test_verify_min_lift_flags_mismatch(capsys, monkeypatch):
     assert "differs" not in err
 
 
+def test_verify_min_lift_girth8_reference(capsys):
+    # J = 3 girth 8 at L = 7: the search reproduces the tabulated 21
+    code, out, _ = run(capsys, ["verify", "min-lift", "--girth", "8",
+                                "--l-min", "7", "--l-max", "7",
+                                "--n-max", "21"])
+    assert code == EXIT_OK
+    assert out.endswith("L 7 min-n 21 expected 21 ok\n")
+
+
 def test_verify_min_lift_budget(capsys):
     code, out, _ = run(capsys, ["verify", "min-lift", "--l-min", "6",
                                 "--l-max", "6", "--n-max", "7", "--budget", "5"])
@@ -421,6 +433,45 @@ def test_output_flag_bad_path_is_usage_error(tmp_path, capsys):
     # the census runs and reports its time; only the write fails
     assert err.splitlines()[-1].startswith("error: ")
     assert str(target) in err and not target.exists()
+
+
+def test_output_flag_rewrites_a_longer_file(tmp_path, capsys):
+    # the report is written in place and the file cut to its length, so
+    # nothing of the longer file it replaces is left
+    target = tmp_path / "census.txt"
+    target.write_text("x" * 1000 + "\n")
+    code, out, _ = run(capsys, ["mappings", "count", "--n", "5",
+                                "--format", "structured",
+                                "--output", str(target)])
+    assert (code, out) == (EXIT_OK, "")
+    assert target.read_text() == "census 1\nmodulus 5\ncount 3\nwitnesses 0\n"
+
+
+def test_output_flag_unwritable_path_is_usage_error(tmp_path, capsys):
+    # a directory cannot be opened for writing, not even by root
+    code, out, err = run(capsys, ["mappings", "count", "--n", "5",
+                                  "--output", str(tmp_path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_flag_writes_to_a_fifo(tmp_path, capsys):
+    # a FIFO is not a regular file, so it takes the report and is not cut
+    fifo = tmp_path / "report"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text()), daemon=True
+    )
+    reader.start()
+    code, out, _ = run(capsys, ["mappings", "count", "--n", "5",
+                                "--format", "structured",
+                                "--output", str(fifo)])
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, out) == (EXIT_OK, "")
+    assert received == ["census 1\nmodulus 5\ncount 3\nwitnesses 0\n"]
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -1,4 +1,6 @@
+import time
 from itertools import combinations, product
+from math import gcd
 from typing import Optional
 
 import pytest
@@ -113,13 +115,45 @@ def tails_backtrack(j, l, n, want8, budget, nodes_in):
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
 
 
-def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1):
-    """In-test reference: search._backtrack without the unit-scaling cut.
+def lex_beaten(x, cols, n):
+    """The lex-leader test of search, one unit at a time and with no table.
+
+    True when, for a placed column w and ordered rows r0 != r1 with
+    d = a[r1] - a[r0], a = x - w, either gcd(d, N) < x1, or a unit u with
+    u*d = x1 maps some other row's a[r] - a[r0] below column 1's row-2
+    entry.  cols holds the placed columns, column 1 among them once it is
+    placed; x is column 1 itself otherwise.
+    """
+    col1 = cols[1] if len(cols) > 1 else x
+    x1, j = col1[1], len(x)
+    for w in cols:
+        a = [xr - wr for xr, wr in zip(x, w)]
+        for r0, r1 in product(range(j), repeat=2):
+            rest = [r for r in range(j) if r not in (r0, r1)]
+            if r0 == r1 or not rest:
+                continue
+            d = (a[r1] - a[r0]) % n
+            if gcd(d, n) < x1:
+                return True
+            for u in range(1, n):
+                if gcd(u, n) == 1 and u * d % n == x1:
+                    if min(u * (a[r] - a[r0]) % n for r in rest) < col1[2]:
+                        return True
+    return False
+
+
+def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1, lex=False):
+    """In-test reference: the search kernel without the lex-leader test.
 
     Column 1's row-1 entry ranges over every residue, not only the
     divisors of N, unless the bitmask x1_mask narrows it.  Same masks,
     bounds and visiting order otherwise, so the kernel must find the same
-    witness, in no more nodes.
+    witness, in no more nodes.  With the divisors as x1_mask it is the
+    kernel with the unit-scaling cut alone.
+    With lex, each later column that fails the gcd test against a placed
+    column is skipped before it is counted, as the kernel's masks skip it,
+    and each counted column goes on only if lex_beaten clears it: the
+    kernel's test, decided one unit at a time.
     """
     row_pairs = list(combinations(range(j), 2))  # p < q
     # below[q] pairs each row p < q with the index of mask(p, q)
@@ -127,6 +161,14 @@ def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1):
     full = (1 << n) - 1
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
+
+    def gcd_skips(x):
+        x1 = cols[1][1]
+        return any(
+            gcd(x[q] - x[p] - z[q] + z[p], n) < x1
+            for z in cols
+            for p, q in row_pairs
+        )
 
     def place(masks: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
         # the residues of y[q] - y[p] that column x forbids to later columns
@@ -166,9 +208,10 @@ def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1):
             low = free & -free
             free ^= low
             y.append(low.bit_length() - 1)
+            hit = None
             if q + 1 < j:
                 hit = fill(c, masks, y)
-            else:
+            elif not (lex and c > 1 and gcd_skips(tuple(y))):
                 if budget is not None and nodes >= budget:
                     raise BudgetError(
                         f"node budget exhausted after {nodes} nodes",
@@ -178,10 +221,11 @@ def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1):
                 x = tuple(y)
                 if c + 1 == l:
                     return cols + [x]
-                next_masks = place(masks, x)
-                cols.append(x)
-                hit = fill(c + 1, next_masks, [0])
-                cols.pop()
+                if not (lex and lex_beaten(x, cols, n)):
+                    next_masks = place(masks, x)
+                    cols.append(x)
+                    hit = fill(c + 1, next_masks, [0])
+                    cols.pop()
             y.pop()
             if hit is not None:
                 return hit
@@ -386,9 +430,15 @@ def test_unit_scaling_cut_keeps_every_witness():
 
 def test_unit_scaling_cut_draws_x1_from_the_divisors():
     # at an exhausted composite N the kernel visits exactly the nodes of
-    # the reference restricted to the divisors of N, and more than the
-    # reference restricted to x1 = 1, so its mask is the divisors, not {1}
-    pinned = {(3, 5, 12): (3018, 964), (3, 6, 12): (2266, 778), (3, 4, 8): (72, 32)}
+    # the unit-by-unit lex-leader reference restricted to the divisors of
+    # N, and more than that reference restricted to x1 = 1, so its mask is
+    # the divisors, not {1}.  The reference without the lex-leader test
+    # visits more nodes still
+    pinned = {
+        (3, 5, 12): (389, 349, 3018),
+        (3, 6, 12): (331, 291, 2266),
+        (3, 4, 8): (31, 19, 72),
+    }
     cases = [
         (3, l, n)
         for l, first in ((4, 9), (5, 13), (6, 18))
@@ -400,11 +450,58 @@ def test_unit_scaling_cut_draws_x1_from_the_divisors():
         got, nodes = search._backtrack(j, l, n, True, None, 0)
         assert got is None, (j, l, n)
         divisors = sum(1 << d for d in range(1, n) if n % d == 0)
-        assert uncut_backtrack(j, l, n, True, None, 0, divisors) == (None, nodes)
-        _, unit_nodes = uncut_backtrack(j, l, n, True, None, 0, 1 << 1)
-        assert nodes > unit_nodes, (j, l, n)
-        counts[j, l, n] = (nodes, unit_nodes)
+        assert uncut_backtrack(j, l, n, True, None, 0, divisors, lex=True) == (
+            None,
+            nodes,
+        )
+        _, unit_nodes = uncut_backtrack(j, l, n, True, None, 0, 1 << 1, lex=True)
+        _, old_nodes = uncut_backtrack(j, l, n, True, None, 0, divisors)
+        assert unit_nodes < nodes < old_nodes, (j, l, n)
+        counts[j, l, n] = (nodes, unit_nodes, old_nodes)
     assert {case: counts[case] for case in pinned} == pinned
+
+
+def test_lex_leader_table_matches_unit_by_unit_test():
+    # the kernel decides the lex-leader test from the masks and one table
+    # per column 1; the reference tries every unit of Z/N on every pair of
+    # columns.  Same witness and the same nodes, both girths, J = 2..5,
+    # including every N below each minimum
+    cases = [
+        (j, l, n, want8)
+        for j in (2, 3, 4, 5)
+        for l in (2, 3, 4, 5, 6)
+        for want8 in (False, True)
+        for n in range(1, 17)
+        if not want8 or j * l <= 20
+    ]
+    for j, l, n, want8 in cases:
+        divisors = sum(1 << d for d in range(1, n) if n % d == 0)
+        want = uncut_backtrack(j, l, n, want8, None, 0, divisors, lex=True)
+        assert search._backtrack(j, l, n, want8, None, 0) == want, (j, l, n, want8)
+
+
+def test_lex_leader_keeps_every_witness():
+    # the reference is the kernel with the unit-scaling cut alone: column
+    # 1's row-1 entry divides N, nothing else is cut.  Same existence and
+    # witness at every N <= 20, in no more nodes.  J = 4 girth 8 at L = 6
+    # and J = 5 girth 8 at L = 5, 6 are left out: the reference alone
+    # takes 17-24 s on each
+    cases = [(3, l, want8) for l in (4, 5, 6) for want8 in (False, True)]
+    cases += [(j, l, False) for j in (4, 5) for l in (4, 5, 6)]
+    cases += [(4, 4, True), (4, 5, True), (5, 4, True)]
+    witnesses = nodes_total = old_total = 0
+    for j, l, want8 in cases:
+        for n in range(1, 21):
+            divisors = sum(1 << d for d in range(1, n) if n % d == 0)
+            got, nodes = search._backtrack(j, l, n, want8, None, 0)
+            want, old_nodes = uncut_backtrack(j, l, n, want8, None, 0, divisors)
+            assert got == want, (j, l, n, want8)
+            assert nodes <= old_nodes, (j, l, n, want8)
+            witnesses += got is not None
+            nodes_total += nodes
+            old_total += old_nodes
+    assert witnesses == 169
+    assert (nodes_total, old_total) == (189314, 1323002)
 
 
 def test_even_n_equals_l_needs_no_search(monkeypatch):
@@ -432,10 +529,32 @@ def test_min_lifting_factor_girth8_l7():
     # J = 3 girth 8 at L = 7: Tasdighi, Banihashemi and Sadeghi (2016) give
     # 21.  The node count is pinned so that a pruning regression fails here
     r = min_lifting_factor(3, 7, 8, 21)
-    assert (r.min_n, r.nodes) == (21, 1758447)
+    assert (r.min_n, r.nodes) == (21, 115912)
+    assert r.witness.entries[1:] == (
+        (0, 1, 3, 4, 7, 9, 16),
+        (0, 2, 6, 14, 15, 18, 20),
+    )
     assert girth_from_shifts(r.witness, 8).girth == 8
     assert girth_bfs(lift(r.witness), 8).girth == 8
     assert check_girth8_conditions(r.witness).valid
+
+
+def test_min_lifting_factor_j4_girth8_l6():
+    # J = 4 girth 8 at L = 6: minimum 21, the witness accepted by both
+    # oracles.  About 2 s on a 2-core host; a slow search fails here
+    # rather than passing or skipping
+    started = time.perf_counter()
+    r = min_lifting_factor(4, 6, 8, 21)
+    elapsed = time.perf_counter() - started
+    assert (r.min_n, r.nodes) == (21, 378894)
+    assert r.witness.entries[1:] == (
+        (0, 1, 2, 4, 12, 17),
+        (0, 3, 8, 20, 5, 9),
+        (0, 6, 10, 16, 19, 18),
+    )
+    assert girth_from_shifts(r.witness, 12).girth == 8
+    assert girth_bfs(lift(r.witness), 12).girth == 8
+    assert elapsed < 60, f"J=4 L=6 girth-8 search took {elapsed:.0f}s, budget 60s"
 
 
 def test_min_lifting_factor_girth6():
@@ -494,7 +613,7 @@ def test_search_budget():
         min_lifting_factor(3, 6, 6, 7, budget=5)
     assert info.value.partial.nodes == 5
     assert str(info.value) == "node budget exhausted after 5 nodes"
-    # the search stops at its budget, never past it (4396 nodes in all)
+    # the search stops at its budget, never past it (1019 nodes in all)
     for budget in (0, 1, 5, 100):
         with pytest.raises(BudgetError) as info:
             min_lifting_factor(3, 5, 8, 14, budget=budget)
@@ -511,9 +630,9 @@ def test_search_node_counts():
     # so these counts, must not change without a reason.  A node is one
     # column that passes the masks of all its row pairs
     for args, want in (
-        # girth 8: column 1's row-1 entry divides N (the unit-scaling cut)
-        ((3, 4, 8, 12), (9, 90)),
-        ((3, 5, 8, 14), (13, 4396)),
+        # girth 8: the lex-leader test prunes
+        ((3, 4, 8, 12), (9, 43)),
+        ((3, 5, 8, 14), (13, 1019)),
         ((4, 6, 6, 9), (7, 40)),
         ((5, 6, 6, 9), (7, 20)),
         ((4, 9, 6, 12), (10, 151)),
