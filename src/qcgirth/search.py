@@ -83,14 +83,12 @@ from typing import Optional
 
 from .girth import girth_from_shifts, has_girth_at_least
 from .lifting import ShiftMatrix, canonical_from_mapping
-# compatible_pairs is not called here.  It stays importable from search
-# because perfbench's traced run (--trace 1) wraps it there, next to
-# enumerate_complete_mappings, and tests/test_tooling.py checks that
+# neither census name is called here: both stay importable from search only
+# for the hooks of perfbench's traced run (--trace 1), which wrap them here
 from .mappings import (
     BudgetError,
-    _mates,
     compatible_pairs,  # noqa: F401
-    enumerate_complete_mappings,
+    enumerate_complete_mappings,  # noqa: F401
     product_mapping,
 )
 
@@ -121,22 +119,19 @@ def _exists_at_n(
     """Find one canonical J x L matrix over Z/N with girth >= target, or None.
 
     The one per-N step of every search: the girth and budget checks, the
-    infeasibility pre-checks, a nonexistence certificate at N = L, then
-    backtracking, and the witness check by the shift oracle.  Every
-    witness comes from _backtrack, so it is counted in the nodes and
-    bounded by the budget.  Returns (witness, nodes) with nodes counted on
-    from nodes_in, and raises BudgetError when nodes reach budget.
+    infeasibility pre-checks, then backtracking, and the witness check by
+    the shift oracle.  Every witness comes from _backtrack, so it is
+    counted in the nodes and bounded by the budget.  Returns (witness,
+    nodes) with nodes counted on from nodes_in, and raises BudgetError
+    when nodes reach budget.
 
     At N = L and J >= 3, row 2 of a canonical girth-6 matrix is 0..L-1,
     so row 3 is a complete mapping of Z/L.  For even L none exists (Hall
     and Paige, 1955): the differences p(i) - i of a complete mapping sum
     to 0 mod L, while a permutation of Z/L sums to L/2.  So even N = L is
-    ruled out before any census or backtracking, at J >= 4 too.  For odd
-    L and J >= 4, rows 3 and 4 are complete mappings that are mates: their
-    columnwise differences are all distinct.  When the census of Z/L holds
-    every mapping and no two of them are mates, no such matrix exists.
-    The pairs are tested until the first mate pair; a census cut short by
-    its witness cap certifies nothing, and both cases go on to backtrack.
+    ruled out before backtracking, at J >= 4 too.  Odd N = L goes straight
+    to backtracking: a census of Z/L with a scan for mates only ever
+    decided L = 3 and 9, and its witness cap cuts it short from L = 15 on.
     """
     if target_girth not in (6, 8):
         raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
@@ -150,12 +145,6 @@ def _exists_at_n(
         return None, nodes_in
     if target_girth == 6 and n == l and j >= 3 and l % 2 == 0:
         return None, nodes_in  # Z/L has no complete mapping for even L
-    if target_girth == 6 and n == l and j >= 4:
-        census = enumerate_complete_mappings(l)
-        rows = census.samples
-        pairs = combinations(range(len(rows)), 2)
-        if not census.truncated and next(_mates(rows, l, pairs), None) is None:
-            return None, nodes_in
     witness, nodes = _backtrack(j, l, n, target_girth == 8, budget, nodes_in)
     if witness is not None and not has_girth_at_least(witness, target_girth):
         raise RuntimeError(f"search witness at N={n} lacks girth {target_girth}")

@@ -5,7 +5,7 @@ from typing import Optional
 
 import pytest
 
-from qcgirth import search
+from qcgirth import mappings, search
 from qcgirth.girth import (
     count_4cycles,
     girth_bfs,
@@ -313,10 +313,11 @@ def test_exists_code_checks_its_witness(monkeypatch):
             exists_code(j, 5, 5, 6)
 
 
-def test_certificate_matches_clique_route():
-    # at N = L the search certifies nonexistence from a census without
-    # mates and backtracks otherwise; the clique route decides the same.
-    # Even L has no complete mappings, and L = 9 has mappings but no mates
+def test_kernel_matches_clique_route_at_n_equals_l():
+    # at odd N = L the search backtracks alone, and the clique route, which
+    # builds on the census and its mate scan instead, decides the same.
+    # Even L has no complete mappings, and of the odd L here mates exist at
+    # L = 5 and 7 only, so the kernel exhausts L = 3 and 9
     for j in (4, 5):
         for l in (3, 4, 5, 6, 7, 8, 9, 10, 12):
             found, witness = exists_code(j, l, l, 6)
@@ -325,26 +326,19 @@ def test_certificate_matches_clique_route():
                 assert_girth_exactly_6(witness)
 
 
-def test_certificate_matches_kernel_at_n_equals_l():
-    # the no-mate certificate against the backtracking kernel alone, which
-    # shares no code with the mate scan: mates exist at L = 5 and 7 only
-    for l, want in ((3, False), (5, True), (7, True), (9, False)):
-        kernel = search._backtrack(4, l, l, False, None, 0)[0] is not None
-        assert kernel is want, l
-        assert exists_code(4, l, l, 6)[0] is kernel, l
+def test_n_equals_l_runs_no_census(monkeypatch):
+    # odd N = L is decided by backtracking alone, also at L = 15, where
+    # the census would pass its witness cap
+    def no_census(*args, **kwargs):
+        raise AssertionError("ran a census at N = L")
 
-
-def test_truncated_census_is_no_certificate(monkeypatch):
-    # a census cut short by its witness cap may hide the mate pair, so the
-    # search must backtrack rather than rule N = L out
-    full = enumerate_complete_mappings
-    monkeypatch.setattr(
-        search, "enumerate_complete_mappings", lambda n: full(n, limit=1)
-    )
-    assert search.enumerate_complete_mappings(7).truncated
-    found, witness = exists_code(4, 7, 7, 6)
-    assert found
-    assert_girth_exactly_6(witness)
+    monkeypatch.setattr(mappings, "enumerate_complete_mappings", no_census)
+    monkeypatch.setattr(search, "enumerate_complete_mappings", no_census)
+    assert search._exists_at_n(4, 9, 9, 6, None, 0) == (None, 9787)
+    assert search._exists_at_n(5, 9, 9, 6, None, 0) == (None, 39771)
+    r = min_lifting_factor(4, 15, 6, 15)
+    assert (r.min_n, r.nodes) == (15, 168700)
+    assert_girth_exactly_6(r.witness)
 
 
 def test_kernel_finds_four_rows_at_n_equals_l():
@@ -506,7 +500,7 @@ def test_lex_leader_keeps_every_witness():
 
 def test_even_n_equals_l_needs_no_search(monkeypatch):
     # Z/L has no complete mapping for even L (Hall and Paige), so girth 6
-    # at even N = L is ruled out before any census or backtracking
+    # at even N = L is ruled out before backtracking
     for n in range(2, 15, 2):
         census = enumerate_complete_mappings(n, limit=0)
         assert census.count == 0, n
@@ -519,7 +513,6 @@ def test_even_n_equals_l_needs_no_search(monkeypatch):
         raise AssertionError("searched at even N = L")
 
     monkeypatch.setattr(search, "_backtrack", no_search)
-    monkeypatch.setattr(search, "enumerate_complete_mappings", no_search)
     for j in (3, 4, 5):
         for l in range(4, 13, 2):
             assert search._exists_at_n(j, l, l, 6, None, 7) == (None, 7), (j, l)
@@ -635,7 +628,8 @@ def test_search_node_counts():
         ((3, 5, 8, 14), (13, 1019)),
         ((4, 6, 6, 9), (7, 40)),
         ((5, 6, 6, 9), (7, 20)),
-        ((4, 9, 6, 12), (10, 151)),
+        # N = 9 = L is exhausted by the kernel, in 9787 of these nodes
+        ((4, 9, 6, 12), (10, 9938)),
         # N = L = 11 by backtracking; L = 10 is ruled out at N = L because
         # Z/10, of even order, has no complete mapping
         ((4, 11, 6, 14), (11, 3653)),

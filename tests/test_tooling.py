@@ -171,6 +171,20 @@ def test_search_imports_nothing_from_girth8():
     assert "girth" in names and "girth8" not in names
 
 
+def test_search_calls_no_census():
+    # the clique-route test in test_search cross-checks the kernel at N = L
+    # only while the search shares no code with the census and the mate
+    # scan; the census names stay importable there for the trace hooks only
+    banned = {"enumerate_complete_mappings", "compatible_pairs", "_mates"}
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(ast.parse((SRC / "search.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert not called & banned
+
+
 def test_public_names_match_package_imports():
     # a class or function moved between modules must stay importable from
     # the package under the name __all__ promises
