@@ -313,9 +313,10 @@ def test_exists_code_checks_its_witness(monkeypatch):
             exists_code(j, 5, 5, 6)
 
 
-def test_kernel_matches_clique_route_at_n_equals_l():
-    # at odd N = L the search backtracks alone, and the clique route, which
-    # builds on the census and its mate scan instead, decides the same.
+def test_certificate_matches_clique_route():
+    # at N = L no census certifies nonexistence any more: odd N = L is
+    # decided by backtracking alone, and the clique route, which builds on
+    # the census and its mate scan instead, decides the same.
     # Even L has no complete mappings, and of the odd L here mates exist at
     # L = 5 and 7 only, so the kernel exhausts L = 3 and 9
     for j in (4, 5):
@@ -324,6 +325,16 @@ def test_kernel_matches_clique_route_at_n_equals_l():
             assert found == (clique_route(j, l) is not None), (j, l)
             if found:
                 assert_girth_exactly_6(witness)
+
+
+def test_certificate_matches_kernel_at_n_equals_l():
+    # the search at N = L, pre-checks, kernel and witness oracle together,
+    # against the in-test reference kernel, which has no lex-leader cut:
+    # mates exist at L = 5 and 7 only
+    for l, want in ((3, False), (5, True), (7, True), (9, False)):
+        reference = uncut_backtrack(4, l, l, False, None, 0)[0] is not None
+        assert reference is want, l
+        assert exists_code(4, l, l, 6)[0] is reference, l
 
 
 def test_n_equals_l_runs_no_census(monkeypatch):
