@@ -7,8 +7,6 @@ exhaustive minimal-lifting-factor search.
 
 from .girth import (
     GirthReport,
-    count_4cycles,
-    count_4cycles_graph,
     girth_bfs,
     girth_from_shifts,
     has_girth_at_least,
@@ -80,8 +78,6 @@ __all__ = [
     "check_girth8_conditions",
     "classify_structure",
     "compatible_pairs",
-    "count_4cycles",
-    "count_4cycles_graph",
     "difference_sequence",
     "enumerate_complete_mappings",
     "exists_code",

@@ -1,4 +1,4 @@
-"""Tanner-graph girth by two independent methods, plus 4-cycle counting.
+"""Tanner-graph girth by two independent methods.
 
 girth_bfs works on the lifted binary matrix and knows nothing about the
 quasi-cyclic structure.  It runs a breadth-first search from every check
@@ -38,7 +38,8 @@ vanishes (Fossorier, IEEE Trans. IT 2004).  Each solution tuple is a
 rooted traversal of a lifted cycle; a cycle of length 2m lifts N ways and
 is traversed from 2m rooted orientations, so distinct cycles = tuples *
 N / (2m).  The two methods share no code and serve as oracles for each
-other.
+other.  Either one's shortest_cycle_count at cap 4 is the number of
+4-cycles, 0 when there is none.
 
 The shift oracle solves the condition meet-in-the-middle.  Regrouped by
 column, the sum is sum_t D_t(l_t) with D_t(l) = P[j_t][l] - P[j_{t-1}][l]
@@ -94,18 +95,6 @@ class GirthReport:
                     raise ValueError("witness must alternate v/c starting at v")
 
 
-def _adjacency(h: ParityCheckMatrix) -> list[list[int]]:
-    """Single vertex space: checks 0..m-1, then variables m..m+n-1."""
-    m = h.n_rows
-    adj: list[list[int]] = [[] for _ in range(m + h.n_cols)]
-    for r, c in h.adjacency:
-        adj[r].append(m + c)
-        adj[m + c].append(r)
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
 def _label(v: int, n_checks: int) -> str:
     return f"c{v}" if v < n_checks else f"v{v - n_checks}"
 
@@ -118,7 +107,8 @@ def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
     """
     if cap < 4 or cap % 2:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
-    adj = _adjacency(h)
+    m = h.n_rows  # checks are vertices 0..m-1, variables m..m+n-1
+    adj = [[m + c for c in cs] for cs in h.row_neighbors()] + h.col_neighbors()
     girth: Optional[int] = None
     first, first_dist = -1, []  # smallest vertex on a girth cycle, its BFS levels
     pairs = 0  # rooted shortest cycles: each cycle once per check on it
@@ -317,40 +307,6 @@ def girth_from_shifts(p: ShiftMatrix, cap: int = 12) -> GirthReport:
             witness=_witness_from_tuple(p, jseq, lseq),
         )
     return GirthReport(girth=None, shortest_cycle_count=0, cap=cap, method="shifts")
-
-
-def count_4cycles(p: ShiftMatrix) -> int:
-    """Number of 4-cycles in the lifted graph, computed from shifts.
-
-    Each row pair and column pair whose 2 x 2 shift sub-matrix has
-    vanishing alternating sum contributes exactly N cycles.
-    """
-    n = p.lifting_factor
-    violations = 0
-    for j1 in range(p.rows):
-        for j2 in range(j1 + 1, p.rows):
-            row_a, row_b = p.entries[j1], p.entries[j2]
-            for l1 in range(p.cols):
-                for l2 in range(l1 + 1, p.cols):
-                    if (row_a[l1] - row_a[l2] + row_b[l2] - row_b[l1]) % n == 0:
-                        violations += 1
-    return violations * n
-
-
-def count_4cycles_graph(h: ParityCheckMatrix) -> int:
-    """Brute-force 4-cycle count on the lifted graph via common neighbors.
-
-    A 4-cycle is an unordered pair of checks plus an unordered pair of
-    their common variables; independent of both shift-based methods.
-    """
-    by_row = h.row_neighbors()
-    count = 0
-    for r1 in range(h.n_rows):
-        set1 = set(by_row[r1])
-        for r2 in range(r1 + 1, h.n_rows):
-            common = len(set1.intersection(by_row[r2]))
-            count += common * (common - 1) // 2
-    return count
 
 
 def has_girth_at_least(p: ShiftMatrix, g: int) -> bool:

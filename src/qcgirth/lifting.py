@@ -74,6 +74,11 @@ class ParityCheckMatrix:
                 raise ValueError(f"one-position ({r}, {c}) outside matrix")
 
     def row_neighbors(self) -> list[list[int]]:
+        """Per row, the columns of its ones in ascending order.
+
+        export_alist's bytes and girth_bfs's canonical witness depend on
+        this order, as on that of col_neighbors.
+        """
         out: list[list[int]] = [[] for _ in range(self.n_rows)]
         for r, c in self.adjacency:
             out[r].append(c)
@@ -82,6 +87,7 @@ class ParityCheckMatrix:
         return out
 
     def col_neighbors(self) -> list[list[int]]:
+        """Per column, the rows of its ones in ascending order."""
         out: list[list[int]] = [[] for _ in range(self.n_cols)]
         for r, c in self.adjacency:
             out[c].append(r)

@@ -341,7 +341,7 @@ def compatible_pairs(
     lexicographic order; after max_checks checks, raises BudgetError
     carrying the pairs found so far.
     """
-    if len(census.samples) != census.count:
+    if census.truncated:
         raise ValueError(
             f"census kept {len(census.samples)} of {census.count} witnesses; "
             "the pair scan needs all of them"

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from qcgirth.girth import (
     _cycle_solutions,
     _witness_from_tuple,
-    count_4cycles,
-    count_4cycles_graph,
     girth_bfs,
     girth_from_shifts,
     has_girth_at_least,
@@ -257,25 +255,30 @@ def test_cap_validation():
 
 
 def test_4cycle_counts_agree_three_ways():
+    # a 4-cycle count is either oracle's count at cap 4; every (J, L, N)
+    # with J 1-4, L 1-5, N 1-8 gets a few seeded matrices
     rng = random.Random(7)
     cases = [canonical_from_mapping(almost_complete_mapping(4))]
-    for _ in range(20):
-        n = rng.randint(2, 7)
-        j, l = rng.randint(2, 3), rng.randint(2, 4)
-        entries = tuple(
-            tuple(rng.randrange(n) for _ in range(l)) for _ in range(j)
-        )
-        cases.append(ShiftMatrix(entries=entries, lifting_factor=n))
+    for j, l, n in product(range(1, 5), range(1, 6), range(1, 9)):
+        for _ in range(2):
+            entries = tuple(
+                tuple(rng.randrange(n) for _ in range(l)) for _ in range(j)
+            )
+            cases.append(ShiftMatrix(entries=entries, lifting_factor=n))
     for p in cases:
         h = lift(p)
-        assert count_4cycles(p) == count_4cycles_graph(h) == brute_4cycles(h)
+        shifts, bfs = girth_from_shifts(p, 4), girth_bfs(h, 4)
+        count = brute_4cycles(h)
+        assert shifts.shortest_cycle_count == bfs.shortest_cycle_count == count
+        assert shifts.girth == bfs.girth == (4 if count else None)
 
 
 def test_4cycle_count_matches_girth_report():
     p = canonical_from_mapping(almost_complete_mapping(6))
     report = girth_from_shifts(p, 12)
     assert report.girth == 4
-    assert report.shortest_cycle_count == count_4cycles(p) == 6
+    assert report.shortest_cycle_count == brute_4cycles(lift(p)) == 6
+    assert girth_bfs(lift(p), 12).shortest_cycle_count == 6
 
 
 def test_has_girth_at_least():

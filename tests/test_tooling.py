@@ -65,42 +65,26 @@ def test_benchmark_jobs_parse(monkeypatch, tmp_path):
         parser.parse_args(argv)
 
 
-def test_search_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
-    # the benchmark checks the stdout of its two search jobs against a
-    # digest; a report byte the search changes must fail here too
+def test_benchmark_jobs_match_digests(monkeypatch, tmp_path, capsys):
+    # the benchmark checks the stdout of every digested job; a report byte
+    # a change moves must fail here too, and the two-worker census count
+    # must match the serial one byte for byte
     from qcgirth.cli import main
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     jobs = {
         job.key: job
-        for name in ("girth8-frontier", "mates")
+        for name in workloads.WORKLOADS
         for job in workloads.prepare(name, str(tmp_path), 1)
     }
-    for key in ("min-lift-g8", "min-lift-j4-l9"):
-        capsys.readouterr()
-        assert main(list(jobs[key].argv)) == 0, key
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == workloads.DIGESTS[key], key
-
-
-def test_census_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
-    # the census jobs' stdout against the benchmark's digests, and the
-    # two-worker count byte for byte against the serial one
-    from qcgirth.cli import main
-
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    jobs = {job.key: job for job in workloads.prepare("census", str(tmp_path), 1)}
     outs = {}
-    for key in ("census-count-13", "census-count-13-w2", "census-enum-11",
-                "census-enum-13"):
+    for key in [*workloads.DIGESTS, "census-count-13-w2"]:
         capsys.readouterr()
         assert main(list(jobs[key].argv)) == 0, key
         outs[key] = capsys.readouterr().out
-    for key in ("census-count-13", "census-enum-11", "census-enum-13"):
-        digest = hashlib.sha256(outs[key].encode()).hexdigest()
-        assert digest == workloads.DIGESTS[key], key
+    for key, digest in workloads.DIGESTS.items():
+        assert hashlib.sha256(outs[key].encode()).hexdigest() == digest, key
     assert outs["census-count-13-w2"] == outs["census-count-13"]
 
 
