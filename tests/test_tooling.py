@@ -65,10 +65,12 @@ def test_benchmark_jobs_parse(monkeypatch, tmp_path):
         parser.parse_args(argv)
 
 
-def test_benchmark_jobs_match_digests(monkeypatch, tmp_path, capsys):
-    # the benchmark checks the stdout of every digested job; a report byte
-    # a change moves must fail here too, and the two-worker census count
-    # must match the serial one byte for byte
+SEARCH_DIGEST_KEYS = ("min-lift-g8", "min-lift-j4-l9")
+CENSUS_DIGEST_KEYS = ("census-count-13", "census-enum-11", "census-enum-13")
+
+
+def _job_stdouts(monkeypatch, tmp_path, capsys, keys):
+    """Run the benchmark jobs named by keys through cli.main; their stdouts."""
     from qcgirth.cli import main
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -79,13 +81,45 @@ def test_benchmark_jobs_match_digests(monkeypatch, tmp_path, capsys):
         for job in workloads.prepare(name, str(tmp_path), 1)
     }
     outs = {}
-    for key in [*workloads.DIGESTS, "census-count-13-w2"]:
+    for key in keys:
         capsys.readouterr()
         assert main(list(jobs[key].argv)) == 0, key
         outs[key] = capsys.readouterr().out
-    for key, digest in workloads.DIGESTS.items():
-        assert hashlib.sha256(outs[key].encode()).hexdigest() == digest, key
+    return workloads.DIGESTS, outs
+
+
+def _assert_digests(digests, outs, keys):
+    for key in keys:
+        assert hashlib.sha256(outs[key].encode()).hexdigest() == digests[key], key
+
+
+def test_search_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
+    # the benchmark checks the stdout of its two search jobs against a
+    # digest; a report byte the search changes must fail here too
+    digests, outs = _job_stdouts(monkeypatch, tmp_path, capsys, SEARCH_DIGEST_KEYS)
+    _assert_digests(digests, outs, SEARCH_DIGEST_KEYS)
+
+
+def test_census_jobs_match_benchmark_digests(monkeypatch, tmp_path, capsys):
+    # the census jobs' stdout against the benchmark's digests, and the
+    # two-worker count byte for byte against the serial one
+    keys = (*CENSUS_DIGEST_KEYS, "census-count-13-w2")
+    digests, outs = _job_stdouts(monkeypatch, tmp_path, capsys, keys)
+    _assert_digests(digests, outs, CENSUS_DIGEST_KEYS)
     assert outs["census-count-13-w2"] == outs["census-count-13"]
+
+
+def test_benchmark_jobs_match_digests(monkeypatch, tmp_path, capsys):
+    # every other digested job, so that each digest the benchmark checks
+    # is checked here by one of these three tests
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    digests = importlib.import_module("workloads").DIGESTS
+    covered = {*SEARCH_DIGEST_KEYS, *CENSUS_DIGEST_KEYS}
+    assert covered <= set(digests)
+    keys = [key for key in digests if key not in covered]
+    assert keys
+    digests, outs = _job_stdouts(monkeypatch, tmp_path, capsys, keys)
+    _assert_digests(digests, outs, keys)
 
 
 def test_readme_commands_parse():
