@@ -49,15 +49,36 @@ each with a residue sum; a solution is a pair of halves whose sums add
 to 0 with l_{h-1} != l_h and l_{m-1} != l_0.  The second halves are
 indexed by the first-half sum that closes them, and each first half is
 joined with the second halves under its sum, keeping the pairs that meet
-both conditions.  A length then costs, per row sequence, the
-O(L^ceil(m/2)) half walks plus the matched pairs, which outnumber the
-solutions only by the pairs that repeat a column where the halves meet.
+both conditions.  A row sequence then costs the O(L^ceil(m/2)) half
+walks plus the matched pairs, which outnumber the solutions only by the
+pairs that repeat a column where the halves meet.
 
-Row sequences, first halves and the second halves under each sum are
-all taken in lexicographic order, so the join yields the solutions in
-lexicographic (rows, columns) order.  The first is the tuple the witness
-is lifted from; counting reads the rest of the same stream, so each
-length takes one pass, and a length without a solution yields nothing.
+Only one row sequence per class under rotation and reversal is solved
+(Tasdighi, Banihashemi & Sadeghi, IEEE Trans. IT 2016 use the same
+symmetry).  Rotation by k, j'_t = j_{t+k} and l'_t = l_{t+k}, permutes
+the terms of the sum.  Reversal, j'_t = j_{m-1-t} and l'_t = l_{-t mod m},
+maps the term of t to minus the term of s = m-1-t, since l'_{t+1} = l_s
+and l'_t = l_{s+1}, so the sum only changes sign.  Both are invertible
+and keep adjacent entries distinct, so each map g of the dihedral group
+they generate takes the solutions with row sequence J one to one onto
+those with row sequence g(J).  Hence every sequence in a class has as
+many solutions as any other, and the number of solutions is the sum over
+classes of class size times the solutions of one member.
+The table _row_classes lists, per (J, m), the least sequence of each
+class with the class size, in lexicographic order, and each solution of
+a representative carries that size as its weight.  For J = 4 this
+solves 24 instead of 240 row sequences at m = 5 and 92 instead of 732 at
+m = 6.
+
+Representatives, first halves and the second halves under each sum are
+all taken in lexicographic order, so the join yields the solutions of
+the representatives in lexicographic (rows, columns) order.  The first
+of them is the first solution of all: if a sequence has a solution,
+so does every sequence in its class, its least one included, so the
+least row sequence with a solution is a representative.  That first
+tuple is the one the witness is lifted from; the weighted count reads
+the rest of the same stream, so each length takes one pass, and a
+length without a solution yields nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +95,8 @@ from .lifting import ParityCheckMatrix, ShiftMatrix
 class GirthReport:
     """Girth result relative to a search cap.
 
-    girth None means no cycle of length <= cap exists.  witness, when
+    girth None means no cycle of length <= cap exists, so the count is 0
+    and there is no witness.  witness, when
     present, lists girth many vertex labels alternating variable ("v<i>")
     and check ("c<i>") nodes along one shortest cycle.
     """
@@ -86,7 +108,10 @@ class GirthReport:
     witness: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.witness is not None and self.girth is not None:
+        if self.girth is None:
+            if self.witness is not None or self.shortest_cycle_count:
+                raise ValueError("no girth means no witness and no shortest cycles")
+        elif self.witness is not None:
             if len(self.witness) != self.girth:
                 raise ValueError("witness length must equal girth")
             for idx, label in enumerate(self.witness):
@@ -211,11 +236,18 @@ def _first_cycle(
 
 
 @cache
-def _cyclic_sequences(symbols: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """All tuples over range(symbols) with adjacent entries distinct
-    cyclically, in lexicographic order."""
-    seqs = product(range(symbols), repeat=length)
-    return tuple(s for s in seqs if all(a != b for a, b in zip(s, s[1:] + s[:1])))
+def _row_classes(symbols: int, length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(least member, size) of each class of tuples over range(symbols),
+    adjacent entries distinct cyclically, under rotation and reversal, in
+    lexicographic order of the least members."""
+    classes = []
+    for seq in product(range(symbols), repeat=length):
+        if any(a == b for a, b in zip(seq, seq[1:] + seq[:1])):
+            continue
+        orbit = {s[k:] + s[:k] for s in (seq, seq[::-1]) for k in range(length)}
+        if seq == min(orbit):
+            classes.append((seq, len(orbit)))
+    return tuple(classes)
 
 
 def _half_walks(
@@ -254,17 +286,18 @@ def _closing_index(
 
 def _cycle_solutions(
     p: ShiftMatrix, m: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every solution (jseq, lseq) of the length-2m cycle condition, in
-    lexicographic order."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every solution (jseq, lseq) of the length-2m cycle condition whose
+    row sequence is the least of its class, in lexicographic order, with
+    the class size as its weight."""
     n, h = p.lifting_factor, (m + 1) // 2
-    for jseq in _cyclic_sequences(p.rows, m):
+    for jseq, size in _row_classes(p.rows, m):
         ring = jseq[-1:] + jseq  # ring[t] = j_{t-1}
         tails = _closing_index(_half_walks(p, ring[h:]), n)
         for seq, s in _half_walks(p, ring[: h + 1]):
             for rest in tails.get(s, ()):
                 if rest[0] != seq[-1] and rest[-1] != seq[0]:
-                    yield jseq, seq + rest
+                    yield jseq, seq + rest, size
 
 
 def _witness_from_tuple(
@@ -283,7 +316,13 @@ def _witness_from_tuple(
 
 
 def girth_from_shifts(p: ShiftMatrix, cap: int = 12) -> GirthReport:
-    """Exact girth if <= cap computed on the shift matrix without lifting."""
+    """Exact girth if <= cap computed on the shift matrix without lifting.
+
+    Per length, solves the cycle condition for one row sequence per
+    rotation/reversal class and sums the class sizes of the solutions
+    (see the module docstring): the rooted tuples, which N / (2m) turns
+    into distinct cycles.  The witness is lifted from the first tuple.
+    """
     if cap < 4 or cap % 2:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
     n = p.lifting_factor
@@ -292,13 +331,13 @@ def girth_from_shifts(p: ShiftMatrix, cap: int = 12) -> GirthReport:
         first = next(solutions, None)
         if first is None:
             continue
-        total = 1 + sum(1 for _ in solutions)
+        jseq, lseq, total = first
+        total += sum(weight for _, _, weight in solutions)
         girth = 2 * m
         if total * n % girth:
             raise RuntimeError(
                 f"{total * n} rooted tuples do not split into {girth}-cycles"
             )
-        jseq, lseq = first
         return GirthReport(
             girth=girth,
             shortest_cycle_count=total * n // girth,

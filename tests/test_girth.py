@@ -1,6 +1,6 @@
 import random
 from collections import deque
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcgirth.girth import (
     _cycle_solutions,
+    _row_classes,
     _witness_from_tuple,
     girth_bfs,
     girth_from_shifts,
@@ -359,13 +360,16 @@ def test_shift_oracle_matches_tuple_enumeration():
     # girth the tuples include longer closed walks, which both count
     inputs = [random_shift_matrix(rng, (2, 3), (2, 3), (2, 9)) for _ in range(40)]
     inputs += [zero_shift_matrix(j, l, n) for j, l, n in ((2, 2, 1), (2, 3, 4), (3, 3, 5))]
+    # the stream holds the solutions of one row sequence per class, each
+    # weighted by its class size: the weights sum to every tuple's count
     for p in inputs:
         for m in (2, 3, 4, 5, 6, 7, 8):
             solutions = list(_cycle_solutions(p, m))
-            assert solutions == sorted(set(solutions))  # distinct, lexicographic
+            keys = [(jseq, lseq) for jseq, lseq, _ in solutions]
+            assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly lexicographic
             total, first = brute_shift_tuples(p, m, count_all=True)
-            assert len(solutions) == total
-            assert solutions[:1] == ([] if first is None else [first])
+            assert sum(weight for _, _, weight in solutions) == total
+            assert keys[:1] == ([] if first is None else [first])
     # 2 x 2 matrices reach girth 16 through a net shift of order 4
     for n in (4, 8, 12):
         for entries in (((0, 0), (0, n // 4)), ((0, 1), (2, 3 * n // 4 + 3))):
@@ -373,6 +377,59 @@ def test_shift_oracle_matches_tuple_enumeration():
             report = girth_from_shifts(p, 16)
             assert (report.girth, report.shortest_cycle_count, report.witness) == \
                 brute_girth(p, 16)
+
+
+def test_row_classes_match_brute_force_orbits():
+    # every orbit of cyclically adjacent-distinct row sequences under the
+    # m rotations and m reflections t -> k - t has one representative, its
+    # least member, listed with the orbit size in lexicographic order
+    for j, m in product(range(1, 6), range(2, 9)):
+        seqs = [s for s in product(range(j), repeat=m)
+                if all(s[t] != s[t - 1] for t in range(m))]
+        assert len(seqs) == (j - 1) ** m + (-1) ** m * (j - 1)
+        orbits = {
+            frozenset(
+                tuple(s[(k + sign * t) % m] for t in range(m))
+                for k in range(m) for sign in (1, -1)
+            )
+            for s in seqs
+        }
+        table = _row_classes(j, m)
+        reps = [rep for rep, _ in table]
+        assert reps == sorted(reps)
+        for orbit in orbits:
+            assert [rep for rep in reps if rep in orbit] == [min(orbit)]
+        assert sorted(table) == sorted((min(o), len(o)) for o in orbits)
+        assert sum(size for _, size in table) == len(seqs)
+    # J = 2: the one class alternates, with period 2, and odd m has none
+    assert _row_classes(2, 4) == (((0, 1, 0, 1), 2),)
+    assert _row_classes(2, 5) == ()
+    assert _row_classes(1, 2) == ()
+    # (0, 1, 0, 2) is its own reversal up to rotation: 4 members, not 2m = 8
+    assert dict(_row_classes(3, 4))[(0, 1, 0, 2)] == 4
+
+
+def test_shift_oracle_invariant_under_row_permutation():
+    # relabelling rows changes which sequence represents each class, so
+    # equal girth and count under every row order check the class weights
+    # end to end; both must equal the lifted-graph oracle's.  With 3 or
+    # more rows and 2 or more columns the girth is at most 12 (Fossorier)
+    rng = random.Random(2016)
+    seen = set()
+    for l in (2, 3) * 20:
+        p = random_shift_matrix(rng, (3, 4), (l, l), (5, 80))
+        for cap in (12, 14, 16):
+            bfs = girth_bfs(lift(p), cap)
+            for order in permutations(range(p.rows)):
+                permuted = ShiftMatrix(
+                    entries=tuple(p.entries[r] for r in order),
+                    lifting_factor=p.lifting_factor,
+                )
+                report = girth_from_shifts(permuted, cap)
+                assert (report.girth, report.shortest_cycle_count) == \
+                    (bfs.girth, bfs.shortest_cycle_count), (p, order, cap)
+            seen.add(bfs.girth)
+    assert seen == {4, 6, 8, 10, 12}, seen
 
 
 def random_tanner_graph(rng):

@@ -214,3 +214,12 @@ def test_girth_report_witness_validation():
     with pytest.raises(ValueError, match="alternate"):
         GirthReport(girth=4, shortest_cycle_count=1, cap=12, method="bfs",
                     witness=("c0", "v0", "c1", "v1"))
+    GirthReport(girth=None, shortest_cycle_count=0, cap=12, method="shifts")
+    with pytest.raises(ValueError, match="no girth"):
+        GirthReport(girth=None, shortest_cycle_count=5, cap=12, method="shifts",
+                    witness=("v0", "c0", "v1", "c1"))
+    with pytest.raises(ValueError, match="no girth"):
+        GirthReport(girth=None, shortest_cycle_count=0, cap=12, method="shifts",
+                    witness=("v0", "c0", "v1", "c1"))
+    with pytest.raises(ValueError, match="no girth"):
+        GirthReport(girth=None, shortest_cycle_count=3, cap=12, method="bfs")
