@@ -22,7 +22,7 @@ import sys
 import time
 from functools import cache
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .girth import GirthReport, girth_bfs, girth_from_shifts
 from .girth8 import Girth8BoundReport, verify_girth8_bound
@@ -95,14 +95,19 @@ def _report(kind: str, lines: Iterable[str]) -> str:
     return "\n".join(chain((f"{kind} 1",), lines)) + "\n"
 
 
+def _witness_lines(census: MappingCensus) -> Iterator[str]:
+    """One line of space-separated images per census witness."""
+    names = [str(v) for v in range(census.modulus)]
+    return (" ".join(map(names.__getitem__, im)) for im in census.samples)
+
+
 def _census_report(census: MappingCensus) -> str:
     head = [
         f"modulus {census.modulus}",
         f"count {census.count}",
         f"witnesses {len(census.samples)}",
     ]
-    witnesses = (" ".join(map(str, im)) for im in census.samples)
-    return _report("census", chain(head, witnesses))
+    return _report("census", chain(head, _witness_lines(census)))
 
 
 def _girth_report(report: GirthReport) -> str:
@@ -172,7 +177,7 @@ def _cmd_mappings(args: argparse.Namespace) -> Result:
         return EXIT_OK, _census_report(census)
     # count keeps no witnesses, so it prints the count line alone
     lines = [f"complete mappings of Z/{args.n}: {census.count}"]
-    lines.extend(" ".join(map(str, im)) for im in census.samples)
+    lines.extend(_witness_lines(census))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,11 @@ sequence i -> p(i) - i mod N is itself a permutation.  Rows of a girth-6
 shift matrix at lifting factor N = L are exactly such mappings, and a pair
 of rows can coexist in a 4-row matrix only when each row is a complete
 mapping of the other.
+
+The census backtracks over p(1), p(2), ... when it keeps witnesses.  A
+count alone does not walk the tree: the subtree below a prefix depends
+only on the images and the differences the prefix has used, so the count
+propagates the number of prefixes per such state, one position at a time.
 """
 
 from __future__ import annotations
@@ -166,22 +171,84 @@ def _enumerate_branch(
     return count, witnesses, nodes, budget_hit
 
 
+def _count_by_states(
+    n: int, prefixes: Sequence[tuple[int, ...]], max_nodes: Optional[int]
+) -> Optional[tuple[int, int]]:
+    """(count, nodes) of the census whose searched branches are prefixes,
+    by propagating multiplicities layer by layer instead of backtracking;
+    None as soon as nodes passes max_nodes.
+
+    The nodes of a branch at depth k are its valid prefixes of length k:
+    no image and no difference repeats.  Which images may extend a valid
+    prefix, and the state of each extension, depend only on the prefix's
+    state: its used images and its used differences rotated up to the next
+    position (the forbid mask of _enumerate_branch), packed as
+    used << n | forbid.  A layer maps each state to its multiplicity, the
+    weighted number of valid prefixes that reach it.  A child state then
+    receives the sum of its parents' multiplicities over the images that
+    lead to it, which is again that number.  So the multiplicities of a
+    layer sum to the weighted nodes at its depth.  The last layer, with
+    position N - 1 placed, is the single state with every image and
+    difference used, and its multiplicity is the count.  A searched branch
+    weighs 2, for itself and its mirror (enumerate_complete_mappings proves
+    the two equal depth by depth), except the self-mirrored 2v = 1 mod N;
+    the prefix (0,) of N = 1 weighs 1.  nodes is checked once per parent,
+    so a layer never holds more than max_nodes + N states.
+    """
+    full = (1 << n) - 1
+    last = n - 1
+    pos = len(prefixes[0]) if prefixes else n
+    layer: dict[int, int] = {}
+    for prefix in prefixes:
+        used = sum(1 << x for x in prefix)
+        forbid = sum(1 << ((x - i + pos) % n) for i, x in enumerate(prefix))
+        layer[used << n | forbid] = 1 if (2 * prefix[-1] - 1) % n == 0 else 2
+    nodes = sum(layer.values())
+    budget = math.inf if max_nodes is None else max_nodes
+    if nodes > budget:
+        return None
+    for _ in range(pos, n):
+        children: dict[int, int] = {}
+        get = children.get
+        for key, mult in layer.items():
+            forbid = key & full
+            high = key ^ forbid
+            avail = full & ~(key | key >> n)
+            nodes += mult * avail.bit_count()
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                # as in _enumerate_branch: bit's difference is used now
+                f = forbid | bit
+                child = high | bit << n | ((f << 1) & full) | (f >> last)
+                children[child] = get(child, 0) + mult
+            if nodes > budget:
+                return None
+        layer = children
+    return sum(layer.values()), nodes
+
+
 def enumerate_complete_mappings(
     n: int,
     limit: Optional[int] = None,
     max_nodes: Optional[int] = None,
     workers: int = 1,
 ) -> MappingCensus:
-    """Exact census of complete mappings of Z/N by backtracking.
+    """Exact census of complete mappings of Z/N.
 
     limit caps retained witnesses (default 10^6); the count stays exact
-    either way.  max_nodes bounds the backtracking steps of the whole
-    census and raises BudgetError carrying the partial census when
-    exceeded.  The census runs as one branch per pinned prefix (p(0), p(1))
-    and nodes counts the nodes of every branch, but only the branches with
-    p(1) = v <= (1 - v) mod N are searched; workers fans those out over
-    processes.  The census, partial or not, is identical for every worker
-    count.
+    either way.  max_nodes bounds the nodes of the whole census and raises
+    BudgetError carrying the partial census when exceeded.  The census runs
+    as one branch per pinned prefix (p(0), p(1)) and nodes counts the nodes
+    of every branch, but only the branches with p(1) = v <= (1 - v) mod N
+    are searched; workers fans those out over processes.  The census,
+    partial or not, is identical for every worker count.
+
+    limit = 0 keeps no witness, so only count and nodes are needed:
+    _count_by_states computes both in this process, without backtracking,
+    and starts no process whatever workers is.  If nodes passes max_nodes
+    there, the backtracking branch loop runs instead, so the BudgetError
+    carries the partial census of the node where the budget ran out.
 
     Each other branch is the mirror of a searched one under p -> q with
     q(i) = i - p(i) mod N (Evans, Orthomorphism Graphs of Groups, LNM 1535,
@@ -203,6 +270,8 @@ def enumerate_complete_mappings(
         raise ValueError(f"witness limit must be >= 0, got {limit}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"node budget must be >= 0, got {max_nodes}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     witness_cap = DEFAULT_WITNESS_CAP if limit is None else limit
     count, nodes, budget_hit = 0, 0, False
     witnesses: list[tuple[int, ...]] = []
@@ -210,6 +279,11 @@ def enumerate_complete_mappings(
     prefixes = [(0,)] if n == 1 else [(0, v) for v in range(2, n)]
     # every searched branch precedes every mirrored one
     searched = [pre for pre in prefixes if pre[-1] <= (1 - pre[-1]) % n]
+    if witness_cap == 0:
+        counted = _count_by_states(n, searched, max_nodes)
+        if counted is not None:
+            return MappingCensus(n, counted[0], (), counted[1])
+        # nodes passed the budget: backtrack to the node where it ran out
     branch = partial(_enumerate_branch, n, witness_cap, max_nodes)
     results = _map_branches(branch, searched, workers)
     sources = {}  # searched parts by p(1)

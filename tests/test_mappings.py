@@ -345,6 +345,39 @@ def test_census_deep_count_within_budget():
     assert abs(census.count / math.factorial(14) - 2.8e-5) < 1e-6
 
 
+def test_count_path_matches_unreduced_census():
+    # limit = 0 propagates state multiplicities; the reference backtracks
+    # through every branch
+    for n in range(1, 14):
+        want, _ = unreduced_census(n, 0, None)
+        assert enumerate_complete_mappings(n, limit=0) == want, n
+    assert enumerate_complete_mappings(14, limit=0) == MappingCensus(14, 0, (), 9819544)
+
+
+def _no_backtracking(*args, **kwargs):
+    raise AssertionError("the count path backtracked or started a pool")
+
+
+def test_count_path_neither_backtracks_nor_starts_processes(monkeypatch):
+    # a work gate: a wall-clock bound cannot tell the two paths apart
+    monkeypatch.setattr("qcgirth.mappings._enumerate_branch", _no_backtracking)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_backtracking)
+    census = enumerate_complete_mappings(15, limit=0, workers=2)
+    assert (census.count, census.nodes) == (2424195, 68644968)
+
+
+def test_count_path_budget_stops_early_with_exact_partial():
+    # the count passes 10^5 nodes within its first layers, then the branch
+    # loop backtracks to the node where the budget ran out
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        enumerate_complete_mappings(17, limit=0, max_nodes=10**5)
+    elapsed = time.perf_counter() - started
+    want, hit = unreduced_census(17, 0, 10**5)
+    assert hit and info.value.partial == want
+    assert elapsed < 1, f"budgeted N=17 count took {elapsed:.2f}s"
+
+
 def test_product_mapping_examples():
     assert product_mapping(2, 5).images == (0, 2, 4, 1, 3)
     assert product_mapping(6, 7).images == (0, 6, 5, 4, 3, 2, 1)  # reversal
