@@ -11,6 +11,10 @@ The census backtracks over p(1), p(2), ... when it keeps witnesses.  A
 count alone does not walk the tree: the subtree below a prefix depends
 only on the images and the differences the prefix has used, so the count
 propagates the number of prefixes per such state, one position at a time.
+
+The mate scan computes no differences: rows a and b are complete mappings
+of each other exactly when b o a^-1 is a complete mapping, so against a
+census that keeps every witness each pair is one set lookup.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import math
 import multiprocessing
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 DEFAULT_WITNESS_CAP = 10**6
 
@@ -135,6 +139,16 @@ def _enumerate_branch(
     images = list(prefix) + [0] * (n - len(prefix))
     budget_hit = False
 
+    if max_nodes is not None and nodes > max_nodes:
+        return 0, [], nodes, True
+    pos = len(prefix)
+    if pos == n:  # N = 1: the prefix is the whole mapping
+        return 1, [prefix] if witness_cap else [], nodes, False
+    # a prefix repeats no image and no difference, so sums are unions;
+    # image v is forbidden at pos when v - pos = p(i) - i for some i
+    used_images = sum(1 << v for v in prefix)
+    forbid = sum(1 << ((v - i + pos) % n) for i, v in enumerate(prefix))
+
     def rec(pos: int, used_images: int, forbid: int) -> bool:
         nonlocal count, nodes, budget_hit
         avail = full & ~(used_images | forbid)
@@ -158,16 +172,10 @@ def _enumerate_branch(
                 return False
         return True
 
-    if max_nodes is not None and nodes > max_nodes:
-        return 0, [], nodes, True
-    pos = len(prefix)
-    if pos == n:  # N = 1: the prefix is the whole mapping
-        return 1, [prefix] if witness_cap else [], nodes, False
-    # a prefix repeats no image and no difference, so sums are unions;
-    # image v is forbidden at pos when v - pos = p(i) - i for some i
-    used_images = sum(1 << v for v in prefix)
-    forbid = sum(1 << ((v - i + pos) % n) for i, v in enumerate(prefix))
     rec(pos, used_images, forbid)
+    # rec reaches itself through its closure cell; clearing the cell frees
+    # the closure, and the witness list it holds, without the cycle collector
+    del rec
     return count, witnesses, nodes, budget_hit
 
 
@@ -378,17 +386,6 @@ def almost_complete_mapping(n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _mates(
-    rows: Sequence[Sequence[int]], n: int, pairs: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, int]]:
-    """Yield, in order, each index pair (i, j) from pairs whose rows are
-    mates: the columnwise differences rows[j] - rows[i] mod n are all
-    distinct.  The rows are not validated."""
-    for i, j in pairs:
-        if len({(b - a) % n for a, b in zip(rows[i], rows[j])}) == n:
-            yield i, j
-
-
 def is_complete_mapping_of(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
     """True iff the columnwise differences row_b - row_a mod N are all distinct.
 
@@ -402,7 +399,7 @@ def is_complete_mapping_of(row_a: Sequence[int], row_b: Sequence[int]) -> bool:
     n = len(row_a)
     if sorted(row_a) != list(range(n)) or sorted(row_b) != list(range(n)):
         raise ValueError("rows must be permutations of 0..N-1")
-    return any(_mates((row_a, row_b), n, [(0, 1)]))
+    return len({(b - a) % n for a, b in zip(row_a, row_b)}) == n
 
 
 def compatible_pairs(
@@ -414,6 +411,16 @@ def compatible_pairs(
     Requires the census to retain every witness.  Pairs are checked in
     lexicographic order; after max_checks checks, raises BudgetError
     carrying the pairs found so far.
+
+    Witnesses a and b are mates iff c = b o a^-1 is a complete mapping.  Put
+    y = a(x): then b(x) - a(x) = c(y) - y, so the differences of the pair
+    are all distinct iff those of c are, and c(0) = b(a^-1(0)) = b(0) = 0.
+    An untruncated census holds every complete mapping of Z/N, so a pair
+    check is one lookup of c among the witnesses.  With a^-1 as bytes and b
+    as a 256-byte translation table, c is a^-1 translated by b's table, so
+    the checks of one row run inside bytes.translate and a set probe.  The
+    bytes need N < 256, which holds for every census under the default
+    witness cap (Z/13 is the largest).
     """
     if census.truncated:
         raise ValueError(
@@ -422,9 +429,24 @@ def compatible_pairs(
         )
     if max_checks is not None and max_checks < 0:
         raise ValueError(f"check budget must be >= 0, got {max_checks}")
-    pairs = islice(combinations(range(census.count), 2), max_checks)
-    out = list(_mates(census.samples, census.modulus, pairs))
-    if max_checks is not None and max_checks < math.comb(census.count, 2):
+    n, k = census.modulus, census.count
+    total = math.comb(k, 2)
+    rows = [bytes(row) for row in census.samples]
+    is_witness = set(rows).__contains__
+    pad = bytes(256 - n)
+    tables = [row + pad for row in rows]
+    left = total if max_checks is None else max_checks
+    out: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        if left <= 0:
+            break
+        stop = min(k, i + 1 + left)
+        left -= stop - i - 1
+        # a^-1(y) is the position of y in row a
+        inverse = bytes(map(row.index, range(n)))
+        found = map(is_witness, map(inverse.translate, tables[i + 1 : stop]))
+        out.extend(zip(repeat(i), compress(range(i + 1, stop), found)))
+    if max_checks is not None and max_checks < total:
         raise BudgetError(
             f"check budget exhausted after {max_checks} pair checks "
             f"({len(out)} compatible pairs so far)",

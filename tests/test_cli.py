@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 
@@ -18,6 +19,7 @@ from qcgirth.lifting import (
     export_shift_matrix,
     lift,
 )
+from qcgirth.mappings import enumerate_complete_mappings
 from qcgirth.search import girth6_odd_L_explicit
 
 
@@ -294,6 +296,24 @@ def test_verify_pairwise(capsys):
         "pairwise-report 1\nmodulus 5\nmappings 3\ncompatible-pairs 3\n"
         "pair 0 1\npair 0 2\npair 1 2\n"
     )
+
+
+def test_verify_pairwise_at_11(capsys):
+    # the first modulus past 5 with mates: the report bytes are pinned by
+    # digest, and every reported pair is checked by the written-out predicate
+    code, out, _ = run(capsys, ["verify", "pairwise", "--n", "11"])
+    assert code == EXIT_OK
+    assert "compatible-pairs 2016\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6dbb66fa1987927e23a440df4efa95485aa1c5f04a62ab279edef938a06bdfad"
+    )
+    rows = enumerate_complete_mappings(11).samples
+    pairs = [tuple(map(int, line.split()[1:])) for line in out.splitlines()
+             if line.startswith("pair ")]
+    assert len(pairs) == 2016
+    for i, j in pairs:
+        assert i < j
+        assert sorted((b - a) % 11 for a, b in zip(rows[i], rows[j])) == list(range(11))
 
 
 def test_verify_pairwise_expect_empty_violation(capsys):

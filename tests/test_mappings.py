@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import multiprocessing
@@ -282,6 +283,18 @@ def test_census_worker_fanout_is_deterministic():
         partials.append(info.value.partial)
     assert partials[0].nodes == 20001 and partials[0].count == 1389
     assert partials[1] == partials[0] and partials[2] == partials[0]
+
+
+def test_census_leaves_no_reference_cycle():
+    # a cycle through the census kernel would keep its witness list alive
+    # until the cycle collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_complete_mappings(9).count == 225
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_map_branches_starts_no_idle_processes(monkeypatch):

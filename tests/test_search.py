@@ -312,9 +312,9 @@ def test_certificate_matches_clique_route():
     # decided by backtracking alone, and the clique route, which builds on
     # the census and its mate scan instead, decides the same.
     # Even L has no complete mappings, and of the odd L here mates exist at
-    # L = 5 and 7 only, so the kernel exhausts L = 3 and 9
+    # L = 5, 7 and 11, so the kernel exhausts L = 3 and 9
     for j in (4, 5):
-        for l in (3, 4, 5, 6, 7, 8, 9, 10, 12):
+        for l in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
             found, witness = exists_code(j, l, l, 6)
             assert found == (clique_route(j, l) is not None), (j, l)
             if found:

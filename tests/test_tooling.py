@@ -3,6 +3,8 @@
 import ast
 import hashlib
 import importlib
+import math
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,7 +195,7 @@ def test_search_calls_no_census():
     # the clique-route test in test_search cross-checks the kernel at N = L
     # only while the search shares no code with the census and the mate
     # scan; the census names stay importable there for the trace hooks only
-    banned = {"enumerate_complete_mappings", "compatible_pairs", "_mates"}
+    banned = {"enumerate_complete_mappings", "compatible_pairs"}
     called = {
         node.func.id if isinstance(node.func, ast.Name) else node.func.attr
         for node in ast.walk(ast.parse((SRC / "search.py").read_text()))
@@ -201,6 +203,28 @@ def test_search_calls_no_census():
         and isinstance(node.func, (ast.Name, ast.Attribute))
     }
     assert not called & banned
+
+
+def test_mate_scan_makes_no_python_call_per_pair():
+    # a work gate: the 225 witnesses of Z/9 make 25 200 pair checks, and a
+    # scan that calls Python code once per pair makes at least that many
+    # calls, however fast the host
+    from qcgirth.mappings import compatible_pairs, enumerate_complete_mappings
+
+    census = enumerate_complete_mappings(9)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        pairs = compatible_pairs(census)
+    finally:
+        sys.setprofile(None)
+    assert pairs == []
+    assert 0 < calls < math.comb(225, 2)
 
 
 def test_public_names_match_package_imports():
