@@ -66,8 +66,10 @@ REFERENCE_MIN_LIFT = {
     (3, 8, 6): 9,
     (4, 9, 6): 10,
     (3, 7, 8): 21,
+    (4, 4, 8): 15,
     (4, 5, 8): 20,
     (4, 6, 8): 21,
+    (5, 4, 8): 20,
 }
 
 

@@ -381,7 +381,9 @@ def almost_complete_mapping(n: int) -> Permutation:
                 return True
         return False
 
-    if not rec(1, 1, 1, False):
+    found = rec(1, 1, 1, False)
+    del rec  # rec reaches itself through its closure cell
+    if not found:
         raise RuntimeError(f"no almost-complete mapping found for N={n}")
     return Permutation(tuple(images))
 

@@ -55,23 +55,38 @@ minimum and witness stays the same:
   so one rule serves both orders of a row pair.  B is fixed once column 1
   is placed, and empty when x1 = 1, as it is at every prime N.  Then
   mask(p, q) gains B itself for column 0 and B rotated by w[q] - w[p] as
-  each column w is placed, so no column after column 1 breaks the rule.  The unit-scaling cut is the case w = column 0, y =
-  column 1, (r0, r1) = (0, 1): then d = x1, so x1 <= gcd(x1, N), that is,
-  x1 divides N, and column 1's row-1 entry is drawn from the divisors of
-  N only.
+  each column w is placed, so no column after column 1 breaks the rule.
+  The unit-scaling cut is the case w = column 0, y = column 1,
+  (r0, r1) = (0, 1): then d = x1, so x1 <= gcd(x1, N), that is, x1
+  divides N, and column 1's row-1 entry is drawn from the divisors of N
+  only.
 - The column-1 half.  If g = x1, each unit u with u*d = x1 gives a T
   whose x1 is at most x1.  If it is smaller, T(M) < M.  If it is equal,
   T's column 1 is the image of y: 0, x1, then the values u*(a[r] - a[r0])
-  of the other rows r, sorted.  When the least of them is below M's
-  column-1 entry in row 2, T(M) < M again, whatever columns follow.  For
-  J = 3 that is the whole comparison of the two columns 1.  Once column 1
-  is placed, one table per d lists the e = a[r] - a[r0] that so prune:
-  every e when gcd(d, N) < x1 (column 1 meets the gcd half against
+  of the other rows r, sorted.  When that sorted tail is lexicographically
+  below M's column 1 in rows 2..J-1, T(M) < M again, whatever columns
+  follow.  Both tails ascend strictly, since two equal entries in one
+  column of M or M' close a 4-cycle.
+- The least entry.  The tail is below when its least value is below M's
+  column-1 entry in row 2.  For J = 3 that is the whole comparison.  Once
+  column 1 is placed, one table per d lists the e = a[r] - a[r0] that so
+  prune: every e when gcd(d, N) < x1 (column 1 meets the gcd half against
   column 0 here), and the e with u*e below column 1's row-2 entry for some
-  unit u with u*d = x1 otherwise.  Each complete column y is looked up
-  against each placed column w, for each (r0, r1) and each other row r.
-  Making y the zero column instead negates a and u, which gives the same
-  candidate, so one orientation is enough.
+  unit u with u*d = x1 otherwise.
+- The tie.  For J >= 4 the least value may equal that row-2 entry.  A
+  second table per d lists the e with u*e equal to it for some unit u with
+  u*d = x1, and only a hit there costs the sorted comparison, made for
+  each such u.  A tied tail that is below first differs from column 1's at
+  some row k >= 3, where it holds a value strictly between column 1's
+  entries in rows k-1 and k.  No value in B occurs in a tail, since the
+  pair (r0, r) would meet the gcd half.  So when no residue outside B lies
+  strictly between two consecutive entries of column 1's rows 2..J-1, a
+  tie never prunes and the second table is not built: at N = L, column 1
+  (0, 1, 2, 3, ...) pays nothing for it.
+- The lookup.  Each complete column y is looked up against each placed
+  column w, for each (r0, r1) and each other row r.  Making y the zero
+  column instead negates a and u, which gives the same candidate, so one
+  orientation is enough.
 """
 
 from __future__ import annotations
@@ -91,6 +106,9 @@ from .mappings import (
     enumerate_complete_mappings,  # noqa: F401
     product_mapping,
 )
+
+# the tie table of the lex-leader test: looks, lifts and column 1's tail
+Ties = tuple[list[int], list[list[int]], list[int]]
 
 
 @dataclass(frozen=True)
@@ -168,10 +186,10 @@ def _backtrack(
     lex-leader test of the module docstring keeps the first witness: row 1
     of column 1 is drawn from the divisors of N only, the masks of every
     later column hold the gcd half, and each complete column is looked up
-    in the table that column 1 fixes.
+    in the tables that column 1 fixes.
     A node is one complete column, so one that passes the masks of all its
-    row pairs.  It is counted after the budget test; unless the table
-    prunes it, the search goes on to column c + 1 with the masks that
+    row pairs.  It is counted after the budget test; unless the tables
+    prune it, the search goes on to column c + 1 with the masks that
     column adds.  Columns come out in lexicographic order, so the witness
     is the first canonical matrix in column-by-column lexicographic order.
     """
@@ -204,40 +222,70 @@ def _backtrack(
     units = [u for u in range(1, n) if gcd(u, n) == 1]
     cols: list[tuple[int, ...]] = [(0,) * j]
     nodes = nodes_in
-    # both set as column 1 is placed: forbid = forbids[x1], and beats, the
-    # lex-leader table (None when it prunes nothing)
+    # all set as column 1 is placed: forbid = forbids[x1], and the lex-leader
+    # tables, beats (None when it prunes nothing) and ties (None when no tie
+    # can prune)
     forbid: list[int] = []
     beats: Optional[list[int]] = None
+    ties: Optional[Ties] = None
 
-    def table(col1: tuple[int, ...]) -> Optional[list[int]]:
+    def tables(col1: tuple[int, ...]) -> tuple[Optional[list[int]], Optional[Ties]]:
         # beats[d] holds the e = a[r] - a[r0] that prune with d = a[r1] - a[r0]:
         # every e when gcd(d, N) < x1, and when gcd(d, N) = x1 the e with
         # u*e < col1[2] for a unit u with u*d = x1.  Values u*e of 0 or x1
         # close 4-cycles, and one in B prunes through the pair (r0, r), so
-        # only the other values below col1[2] are listed
+        # only the other values below col1[2] are listed.  ties is (looks,
+        # lifts, col1[2:]): looks[d] adds to beats[d] the e with u*e = col1[2],
+        # and lifts[d] lists the units u with u*d = x1.  It is None unless a
+        # residue outside B lies strictly between two consecutive entries of
+        # col1[2:]
         if j < 3:
-            return None
+            return None, None
         x1, top = col1[1], col1[2]
         gap = gaps[x1]
         values = [v for v in range(1, top) if v != x1 and not gap >> v & 1]
-        if not gap and not values:
-            return None
+        between = any(
+            not gap >> v & 1
+            for lo, hi in zip(col1[2:], col1[3:])
+            for v in range(lo + 1, hi)
+        )
+        if not (gap or values or between):
+            return None, None
         out = [full if gap >> d & 1 else 0 for d in range(n)]
         for w in units:  # w = 1/u, so d = w*x1 and e = w*v
             out[w * x1 % n] |= sum(1 << (w * v % n) for v in values)
-        return out
+        if not between:
+            return out, None
+        looks = out[:]
+        lifts: list[list[int]] = [[] for _ in range(n)]
+        for w in units:
+            looks[w * x1 % n] |= 1 << (w * top % n)
+            lifts[w * x1 % n].append(pow(w, -1, n))
+        return out, (looks, lifts, list(col1[2:]))
 
     def beaten(x: tuple[int, ...]) -> bool:
         # is there a placed column w and ordered rows (r0, r1) whose
         # equivalent canonical matrix has a smaller column 1?  a = x - w
+        looks, lifts, tail = ties or (beats, [], [])
         for w in cols:
             a = [xr - wr for xr, wr in zip(x, w)]
             for r0, r1, rest in orders:
-                b = beats[(a[r1] - a[r0]) % n]
+                d = (a[r1] - a[r0]) % n
+                b = looks[d]
                 if b:
                     for r in rest:
-                        if b >> ((a[r] - a[r0]) % n) & 1:
-                            return True
+                        e = (a[r] - a[r0]) % n
+                        if b >> e & 1:
+                            if beats[d] >> e & 1:
+                                return True
+                            # a tie: compare the sorted tails, one per unit.
+                            # A later hit in beats[d] would make some tail
+                            # below too, so this order of rows is done
+                            es = [(a[s] - a[r0]) % n for s in rest]
+                            for u in lifts[d]:
+                                if sorted(u * v % n for v in es) < tail:
+                                    return True
+                            break
         return False
 
     def place(masks: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
@@ -263,7 +311,7 @@ def _backtrack(
     ) -> Optional[list[tuple[int, ...]]]:
         # draw row q = len(y) of column c, then the rows below it and the
         # columns after it; returns every column of a witness, or None
-        nonlocal nodes, forbid, beats
+        nonlocal nodes, forbid, beats, ties
         q = len(y)
         free = full
         for p, i in below[q]:
@@ -290,9 +338,10 @@ def _backtrack(
                 if c + 1 == l:
                     return cols + [x]
                 if c == 1:
-                    # x1 fixes B and the table; the masks so far are column
+                    # x1 fixes B and the tables; the masks so far are column
                     # 0's, which forbid forbid[0], that is 0 and B
-                    forbid, beats = forbids[x[1]], table(x)
+                    forbid = forbids[x[1]]
+                    beats, ties = tables(x)
                     masks = (forbid[0],) * len(row_pairs)
                 if beats is not None and beaten(x):
                     hit = None
@@ -307,7 +356,12 @@ def _backtrack(
         return None
 
     # column 0 is all zeros, so it forbids difference 0 on every row pair
-    hit = fill(1, (1,) * len(row_pairs), [0])
+    try:
+        hit = fill(1, (1,) * len(row_pairs), [0])
+    finally:
+        # fill reaches itself through its closure cell; clearing the cell
+        # frees the closure without the cycle collector
+        del fill
     if hit is None:
         return None, nodes
     entries = tuple(tuple(col[r] for col in hit) for r in range(j))

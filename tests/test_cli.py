@@ -282,6 +282,16 @@ def test_verify_min_lift_girth8_reference(capsys):
     assert out.endswith("L 7 min-n 21 expected 21 ok\n")
 
 
+def test_verify_min_lift_l4_girth8_references(capsys):
+    # girth 8 at L = 4: the search reproduces 15 for J = 4 and 20 for J = 5
+    for j, want in (("4", 15), ("5", 20)):
+        code, out, _ = run(capsys, ["verify", "min-lift", "--j", j,
+                                    "--girth", "8", "--l-min", "4",
+                                    "--l-max", "4", "--n-max", "20"])
+        assert code == EXIT_OK
+        assert out.endswith(f"L 4 min-n {want} expected {want} ok\n"), j
+
+
 def test_verify_min_lift_budget(capsys):
     code, out, _ = run(capsys, ["verify", "min-lift", "--l-min", "6",
                                 "--l-max", "6", "--n-max", "7", "--budget", "5"])

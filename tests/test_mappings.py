@@ -495,8 +495,8 @@ def test_compatible_pairs_budget_grid():
         census = enumerate_complete_mappings(n)
         rows = census.samples
         order = list(itertools.combinations(range(len(rows)), 2))
-        # the reference predicate is written out here: the library's
-        # is_complete_mapping_of shares its mate test with compatible_pairs
+        # the reference is the difference test itself, written out here;
+        # compatible_pairs instead looks b o a^-1 up among the witnesses
         full = [
             (i, j)
             for i, j in order

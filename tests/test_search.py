@@ -1,3 +1,4 @@
+import gc
 import time
 from itertools import combinations, product
 from math import gcd
@@ -12,6 +13,7 @@ from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
 from qcgirth.mappings import (
     BudgetError,
     Permutation,
+    almost_complete_mapping,
     compatible_pairs,
     enumerate_complete_mappings,
     is_complete_mapping,
@@ -109,34 +111,50 @@ def tails_backtrack(j, l, n, want8, budget, nodes_in):
     return ShiftMatrix(entries=entries, lifting_factor=n), nodes
 
 
-def lex_beaten(x, cols, n):
+def lex_beaten(x, cols, n, least=False):
     """The lex-leader test of search, one unit at a time and with no table.
 
     True when, for a placed column w and ordered rows r0 != r1 with
     d = a[r1] - a[r0], a = x - w, either gcd(d, N) < x1, or a unit u with
-    u*d = x1 maps some other row's a[r] - a[r0] below column 1's row-2
-    entry.  cols holds the placed columns, column 1 among them once it is
-    placed; x is column 1 itself otherwise.
+    u*d = x1 maps the other rows' a[r] - a[r0], sorted, lexicographically
+    below column 1's rows 2..J-1.  With least, only the least of them is
+    compared, with column 1's row-2 entry: the rule that leaves ties
+    unpruned.  cols holds the placed columns, column 1 among them once it
+    is placed; x is column 1 itself otherwise.
     """
     col1 = cols[1] if len(cols) > 1 else x
     x1, j = col1[1], len(x)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    orders = [
+        (r0, r1, [r for r in range(j) if r not in (r0, r1)])
+        for r0, r1 in product(range(j), repeat=2)
+        if r0 != r1 and j > 2
+    ]
     for w in cols:
         a = [xr - wr for xr, wr in zip(x, w)]
-        for r0, r1 in product(range(j), repeat=2):
-            rest = [r for r in range(j) if r not in (r0, r1)]
-            if r0 == r1 or not rest:
-                continue
+        for r0, r1, rest in orders:
             d = (a[r1] - a[r0]) % n
-            if gcd(d, n) < x1:
+            g = gcd(d, n)
+            if g < x1:
                 return True
-            for u in range(1, n):
-                if gcd(u, n) == 1 and u * d % n == x1:
-                    if min(u * (a[r] - a[r0]) % n for r in rest) < col1[2]:
+            if g > x1:
+                continue  # no unit u has u*d = x1
+            for u in units:
+                if u * d % n == x1:
+                    tail = sorted(u * (a[r] - a[r0]) % n for r in rest)
+                    if least and tail[0] < col1[2]:
+                        return True
+                    if not least and tail < list(col1[2:]):
                         return True
     return False
 
 
-def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1, lex=False):
+def least_beaten(x, cols, n):
+    """lex_beaten with only the least values compared."""
+    return lex_beaten(x, cols, n, least=True)
+
+
+def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1, lex=None):
     """In-test reference: the search kernel without the lex-leader test.
 
     Column 1's row-1 entry ranges over every residue, not only the
@@ -144,10 +162,10 @@ def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1, lex=False):
     bounds and visiting order otherwise, so the kernel must find the same
     witness, in no more nodes.  With the divisors as x1_mask it is the
     kernel with the unit-scaling cut alone.
-    With lex, each later column that fails the gcd test against a placed
-    column is skipped before it is counted, as the kernel's masks skip it,
-    and each counted column goes on only if lex_beaten clears it: the
-    kernel's test, decided one unit at a time.
+    With lex, lex_beaten or least_beaten, each later column that fails the
+    gcd test against a placed column is skipped before it is counted, as
+    the kernel's masks skip it, and each counted column goes on only if lex
+    clears it: lex_beaten is the kernel's test, decided one unit at a time.
     """
     row_pairs = list(combinations(range(j), 2))  # p < q
     # below[q] pairs each row p < q with the index of mask(p, q)
@@ -215,7 +233,7 @@ def uncut_backtrack(j, l, n, want8, budget, nodes_in, x1_mask=-1, lex=False):
                 x = tuple(y)
                 if c + 1 == l:
                     return cols + [x]
-                if not (lex and lex_beaten(x, cols, n)):
+                if not (lex and lex(x, cols, n)):
                     next_masks = place(masks, x)
                     cols.append(x)
                     hit = fill(c + 1, next_masks, [0])
@@ -339,8 +357,8 @@ def test_n_equals_l_runs_no_census(monkeypatch):
 
     monkeypatch.setattr(mappings, "enumerate_complete_mappings", no_census)
     monkeypatch.setattr(search, "enumerate_complete_mappings", no_census)
-    assert search._exists_at_n(4, 9, 9, 6, None, 0) == (None, 9787)
-    assert search._exists_at_n(5, 9, 9, 6, None, 0) == (None, 39771)
+    assert search._exists_at_n(4, 9, 9, 6, None, 0) == (None, 2249)
+    assert search._exists_at_n(5, 9, 9, 6, None, 0) == (None, 4445)
     r = min_lifting_factor(4, 15, 6, 15)
     assert (r.min_n, r.nodes) == (15, 168700)
     assert_girth_exactly_6(r.witness)
@@ -354,6 +372,22 @@ def test_kernel_finds_four_rows_at_n_equals_l():
         assert nodes == want_nodes, l
         assert witness.entries[1] == tuple(range(l))
         assert_girth_exactly_6(witness)
+
+
+def test_search_leaves_no_reference_cycle():
+    # a recursive closure that reaches itself through its cell keeps a
+    # cycle alive until the cycle collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert min_lifting_factor(3, 5, 8, 13).min_n == 13
+        assert gc.collect() == 0
+        assert exists_code(3, 5, 5, 6)[0]
+        assert gc.collect() == 0
+        assert almost_complete_mapping(8).images[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_zero_budget_partial():
@@ -449,11 +483,11 @@ def test_unit_scaling_cut_draws_x1_from_the_divisors():
         got, nodes = search._backtrack(j, l, n, True, None, 0)
         assert got is None, (j, l, n)
         divisors = sum(1 << d for d in range(1, n) if n % d == 0)
-        assert uncut_backtrack(j, l, n, True, None, 0, divisors, lex=True) == (
-            None,
-            nodes,
+        want = uncut_backtrack(j, l, n, True, None, 0, divisors, lex=lex_beaten)
+        assert want == (None, nodes)
+        _, unit_nodes = uncut_backtrack(
+            j, l, n, True, None, 0, 1 << 1, lex=lex_beaten
         )
-        _, unit_nodes = uncut_backtrack(j, l, n, True, None, 0, 1 << 1, lex=True)
         _, old_nodes = uncut_backtrack(j, l, n, True, None, 0, divisors)
         assert unit_nodes < nodes < old_nodes, (j, l, n)
         counts[j, l, n] = (nodes, unit_nodes, old_nodes)
@@ -475,7 +509,7 @@ def test_lex_leader_table_matches_unit_by_unit_test():
     ]
     for j, l, n, want8 in cases:
         divisors = sum(1 << d for d in range(1, n) if n % d == 0)
-        want = uncut_backtrack(j, l, n, want8, None, 0, divisors, lex=True)
+        want = uncut_backtrack(j, l, n, want8, None, 0, divisors, lex=lex_beaten)
         assert search._backtrack(j, l, n, want8, None, 0) == want, (j, l, n, want8)
 
 
@@ -500,7 +534,31 @@ def test_lex_leader_keeps_every_witness():
             nodes_total += nodes
             old_total += old_nodes
     assert witnesses == 169
-    assert (nodes_total, old_total) == (189314, 1323002)
+    assert (nodes_total, old_total) == (99652, 1323002)
+
+
+def test_tie_step_keeps_every_witness():
+    # the kernel compares a tied candidate's sorted column 1 in full; the
+    # reference is the unit-by-unit test that compares the least values
+    # only, and so leaves ties unpruned.  Same existence and witness at
+    # every N <= 20, in no more nodes
+    cases = [
+        (j, l, want8) for j in (4, 5) for l in (4, 5, 6) for want8 in (False, True)
+    ]
+    nodes_total = least_total = fewer = 0
+    for j, l, want8 in cases:
+        for n in range(1, 21):
+            divisors = sum(1 << d for d in range(1, n) if n % d == 0)
+            got, nodes = search._backtrack(j, l, n, want8, None, 0)
+            want, least_nodes = uncut_backtrack(
+                j, l, n, want8, None, 0, divisors, lex=least_beaten
+            )
+            assert got == want, (j, l, n, want8)
+            assert nodes <= least_nodes, (j, l, n, want8)
+            nodes_total += nodes
+            least_total += least_nodes
+            fewer += nodes < least_nodes
+    assert (nodes_total, least_total, fewer) == (365788, 738870, 52)
 
 
 def test_even_n_equals_l_needs_no_search(monkeypatch):
@@ -539,12 +597,12 @@ def test_min_lifting_factor_girth8_l7():
 
 def test_min_lifting_factor_j4_girth8_l6():
     # J = 4 girth 8 at L = 6: minimum 21, the witness accepted by both
-    # oracles.  About 2 s on a 2-core host; a slow search fails here
+    # oracles.  About 1.3 s on a 2-core host; a slow search fails here
     # rather than passing or skipping
     started = time.perf_counter()
     r = min_lifting_factor(4, 6, 8, 21)
     elapsed = time.perf_counter() - started
-    assert (r.min_n, r.nodes) == (21, 378894)
+    assert (r.min_n, r.nodes) == (21, 187315)
     assert r.witness.entries[1:] == (
         (0, 1, 2, 4, 12, 17),
         (0, 3, 8, 20, 5, 9),
@@ -633,8 +691,8 @@ def test_search_node_counts():
         ((3, 5, 8, 14), (13, 1019)),
         ((4, 6, 6, 9), (7, 40)),
         ((5, 6, 6, 9), (7, 20)),
-        # N = 9 = L is exhausted by the kernel, in 9787 of these nodes
-        ((4, 9, 6, 12), (10, 9938)),
+        # N = 9 = L is exhausted by the kernel, in 2249 of these nodes
+        ((4, 9, 6, 12), (10, 2400)),
         # N = L = 11 by backtracking; L = 10 is ruled out at N = L because
         # Z/10, of even order, has no complete mapping
         ((4, 11, 6, 14), (11, 3653)),
