@@ -83,15 +83,15 @@ length without a solution yields nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import Iterator, Optional
 
 from .lifting import ParityCheckMatrix, ShiftMatrix
+from .mappings import _record
 
 
-@dataclass(frozen=True)
+@_record
 class GirthReport:
     """Girth result relative to a search cap.
 

@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Optional
 
 from .lifting import ShiftMatrix
-from .mappings import _map_branches
+from .mappings import _map_branches, _record
 
 
-@dataclass(frozen=True)
+@_record
 class Girth8Table:
     """L' x L' difference table with its headers and diagonal."""
 
@@ -73,7 +72,7 @@ class Girth8Table:
         return tuple(self.entry(i, i) for i in range(self.l_prime))
 
 
-@dataclass(frozen=True)
+@_record
 class ValidityVerdict:
     """Outcome of the five ordered validity conditions.
 
@@ -96,7 +95,7 @@ class StructureKind(enum.Enum):
     UNRECOGNIZED = "unrecognized"
 
 
-@dataclass(frozen=True)
+@_record
 class CaseClassification:
     """Arrangement of A_i united with the partner diagonal element.
 
@@ -353,7 +352,7 @@ def verify_partition_bound(k: int, ell: int, l_prime: int) -> tuple[int, str]:
     return bound, label
 
 
-@dataclass(frozen=True)
+@_record
 class Girth8BoundRow:
     """Per-N sweep summary."""
 
@@ -363,7 +362,7 @@ class Girth8BoundRow:
     violations: tuple[tuple[int, ...], ...]  # (N, col headers..., row headers...)
 
 
-@dataclass(frozen=True)
+@_record
 class Girth8BoundReport:
     """Exhaustive sweep result over N for one table size.
 

@@ -10,10 +10,9 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .mappings import Permutation
+from .mappings import Permutation, _record
 
 
 class AlistParseError(ValueError):
@@ -24,7 +23,7 @@ class AlistParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@_record
 class ShiftMatrix:
     """J x L matrix of shift values mod N, stored row-major as plain ints.
 
@@ -60,7 +59,7 @@ class ShiftMatrix:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class ParityCheckMatrix:
     """Sparse binary JN x LN matrix; adjacency is the set of one-positions."""
 

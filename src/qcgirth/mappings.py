@@ -15,13 +15,16 @@ propagates the number of prefixes per such state, one position at a time.
 The mate scan computes no differences: rows a and b are complete mappings
 of each other exactly when b o a^-1 is a complete mapping, so against a
 census that keeps every witness each pair is one set lookup.
+
+Only a fan-out over workers starts processes, and it imports
+multiprocessing when it does.  Each worker owns one pipe and shares no
+lock with the parent, so closing the fan-out early, or a worker dying,
+never leaves the parent waiting: it kills and joins its workers.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
 from typing import Callable, Iterator, Optional, Sequence
@@ -38,7 +41,107 @@ class BudgetError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+_MISSING = object()  # the default of a field that has none
+
+
+def _record(cls: type) -> type:
+    """Make cls an immutable record with the methods @dataclass(frozen=True)
+    would generate, shared by every record instead of generated per class.
+
+    The fields are the annotated names of cls and its bases, bases first;
+    a class attribute of the same name is the field's default.  __init__
+    binds positional and keyword arguments to the fields, raising
+    TypeError on a missing, unknown or repeated one, and then calls
+    __post_init__ if the class has one.  Records are equal only to records
+    of the same class with equal fields, hash and repr as the tuple of
+    their fields, and raise AttributeError on assignment and deletion.
+    """
+    names: list[str] = []
+    for klass in reversed(cls.__mro__):
+        for name in vars(klass).get("__annotations__", ()):
+            if name not in names:
+                names.append(name)
+    cls._record_fields = cls.__match_args__ = tuple(names)
+    cls._record_defaults = {a: getattr(cls, a, _MISSING) for a in names}
+    cls._record_post_init = getattr(cls, "__post_init__", None)
+    cls.__init__ = _record_init
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _record_values(self) -> tuple:
+    return tuple(map(self.__dict__.__getitem__, self._record_fields))
+
+
+def _record_init(self, *args, **kwargs) -> None:
+    cls = type(self)
+    names = cls._record_fields
+    # the fields go straight into the instance dict, as object.__setattr__
+    # would put them, past the __setattr__ that refuses assignment
+    fields = self.__dict__
+    if kwargs or len(args) != len(names):
+        # every field, in order, with its default or _MISSING; then the
+        # arguments over them
+        fields.update(cls._record_defaults)
+        if args:
+            fields.update(zip(names, args))
+        fields.update(kwargs)
+        if (
+            len(fields) > len(names)
+            or len(args) > len(names)
+            or (args and not kwargs.keys().isdisjoint(names[: len(args)]))
+        ):
+            why = _record_misfit(names, args, kwargs)
+            raise TypeError(f"{cls.__qualname__}() {why}")
+        for field in names:
+            if fields[field] is _MISSING:
+                why = f"missing required argument: {field!r}"
+                raise TypeError(f"{cls.__qualname__}() {why}")
+    else:
+        fields.update(zip(names, args))
+    if cls._record_post_init is not None:
+        cls._record_post_init(self)
+
+
+def _record_misfit(names: tuple, args: tuple, kwargs: dict) -> str:
+    """Why args and kwargs do not bind to names: too many positional
+    arguments, or an unknown or repeated keyword."""
+    if len(args) > len(names):
+        return f"takes {len(names)} positional arguments but {len(args)} were given"
+    field = next(f for f in kwargs if f not in names or f in names[: len(args)])
+    if field not in names:
+        return f"got an unexpected keyword argument {field!r}"
+    return f"got multiple values for argument {field!r}"
+
+
+def _record_eq(self, other: object):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_repr(self) -> str:
+    pairs = zip(self._record_fields, _record_values(self))
+    return f"{type(self).__qualname__}({', '.join(f'{a}={v!r}' for a, v in pairs)})"
+
+
+def _record_setattr(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@_record
 class Permutation:
     """A bijection on Z/N stored as the image sequence (p(0), ..., p(N-1))."""
 
@@ -57,7 +160,7 @@ class Permutation:
         return len(self.images)
 
 
-@dataclass(frozen=True)
+@_record
 class CompleteMapping(Permutation):
     """A permutation fixing 0 whose difference sequence is a permutation."""
 
@@ -67,7 +170,7 @@ class CompleteMapping(Permutation):
             raise ValueError(f"{self.images} is not a complete mapping")
 
 
-@dataclass(frozen=True)
+@_record
 class MappingCensus:
     """Exact count of complete mappings of Z/N plus retained witnesses.
 
@@ -99,20 +202,101 @@ def is_complete_mapping(p: Permutation) -> bool:
 
 def _map_branches(fn: Callable, branches: Sequence, workers: int) -> Iterator:
     """Yield fn(branch) for each branch in order: in this process when
-    workers or the number of branches is 1, else from one pool of
-    min(workers, len(branches)) processes.
+    workers or the number of branches is 1, else from min(workers,
+    len(branches)) worker processes.
 
-    Leaving the pool terminates its workers, so closing the generator early
-    stops the branches still in flight instead of waiting for them.
+    Each worker is started (forked, on Linux) with fn and branches, owns
+    one pipe to this process and shares no lock with it.  A worker receives a branch index,
+    sends back its result and gets the next index not yet handed out; the
+    results are yielded in branch order.  An exception raised by fn in a
+    worker is raised here at its branch's turn, and a worker that dies
+    raises RuntimeError.  However the generator ends (exhausted, closed
+    early, or raising), it kills and joins every worker it started, so
+    closing it stops the branches still in flight instead of waiting for
+    them, and no worker can leave it waiting.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     processes = min(workers, len(branches))
     if processes <= 1:
         yield from map(fn, branches)
-    else:
-        with multiprocessing.Pool(processes) as pool:
-            yield from pool.imap(fn, branches)
+        return
+    from multiprocessing.connection import wait
+
+    running = {}  # parent end of each worker's pipe -> its process
+    try:
+        for k in range(processes):
+            process, conn = _start_worker(fn, branches)
+            running[conn] = process
+            conn.send(k)
+        handed = processes
+        done = {}  # branch index -> (raised, result or exception)
+        for k in range(len(branches)):
+            while k not in done:
+                for conn in wait(list(running)):
+                    try:
+                        i, raised, value = conn.recv()
+                        if handed < len(branches):
+                            conn.send(handed)
+                            handed += 1
+                    except (EOFError, OSError):
+                        process = running[conn]
+                        process.join()
+                        raise RuntimeError(
+                            f"branch worker {process.pid} died "
+                            f"with exit code {process.exitcode}"
+                        ) from None
+                    done[i] = raised, value
+            raised, value = done.pop(k)
+            if raised:
+                raise value
+            yield value
+    finally:
+        for process in running.values():
+            process.kill()
+        for conn, process in running.items():
+            process.join()
+            process.close()
+            conn.close()
+
+
+def _start_worker(fn: Callable, branches: Sequence):
+    """Start one _branch_worker process; returns it and the parent end of
+    its pipe.  The pipe is made here and the child end closed once the
+    worker holds it, so the parent sees end of file when the worker dies."""
+    import multiprocessing
+
+    conn, child_conn = multiprocessing.Pipe()
+    process = multiprocessing.Process(
+        target=_branch_worker, args=(child_conn, fn, branches), daemon=True
+    )
+    process.start()
+    child_conn.close()
+    return process, conn
+
+
+def _branch_worker(conn, fn: Callable, branches: Sequence) -> None:
+    """Worker loop of _map_branches: for each branch index received, send
+    (index, False, fn(branch)), or (index, True, exception) if fn raised;
+    return when the parent's end closes."""
+    while True:
+        try:
+            k = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (k, False, fn(branches[k]))
+        except Exception as exc:
+            # the traceback does not pickle; its text goes along as a note
+            import traceback
+
+            text = f"raised in the worker of branch {k}:\n{traceback.format_exc()}"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), text]
+            reply = (k, True, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # the result or the exception does not pickle
+            conn.send((k, True, RuntimeError(f"branch {k}: {exc!r}")))
 
 
 def _enumerate_branch(

@@ -91,7 +91,6 @@ minimum and witness stays the same:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Optional
@@ -102,6 +101,7 @@ from .lifting import ShiftMatrix, canonical_from_mapping
 # for the hooks of perfbench's traced run (--trace 1), which wrap them here
 from .mappings import (
     BudgetError,
+    _record,
     compatible_pairs,  # noqa: F401
     enumerate_complete_mappings,  # noqa: F401
     product_mapping,
@@ -111,7 +111,7 @@ from .mappings import (
 Ties = tuple[list[int], list[list[int]], list[int]]
 
 
-@dataclass(frozen=True)
+@_record
 class SearchResult:
     """Outcome of a minimal-N search.
 

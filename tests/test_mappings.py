@@ -1,7 +1,12 @@
+import dataclasses
 import gc
 import itertools
 import math
-import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +14,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qcgirth import mappings
+from qcgirth.girth import GirthReport
+from qcgirth.girth8 import (
+    CaseClassification,
+    Girth8BoundReport,
+    Girth8BoundRow,
+    Girth8Table,
+    StructureKind,
+    ValidityVerdict,
+)
+from qcgirth.lifting import ParityCheckMatrix, ShiftMatrix
 from qcgirth.mappings import (
     DEFAULT_WITNESS_CAP,
     BudgetError,
@@ -26,6 +42,7 @@ from qcgirth.mappings import (
     product_mapping,
     valid_product_multipliers,
 )
+from qcgirth.search import SearchResult
 
 # exact counts, reproduced independently for N=5 below
 ODD_COUNTS = {1: 1, 3: 1, 5: 3, 7: 19, 9: 225, 11: 3441, 13: 79259}
@@ -96,6 +113,121 @@ def test_permutation_validation():
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
         Permutation((1, 2, 3))
+
+
+# every record: its fields in order, how many trailing fields default to
+# None, and the field values of one valid instance (already normalized)
+RECORDS = [
+    (Permutation, "images", 0, ((0, 2, 1),)),
+    (CompleteMapping, "images", 0, ((0, 2, 4, 1, 3),)),
+    (MappingCensus, "modulus count samples nodes", 0, (3, 1, ((0, 2, 1),), 2)),
+    (ShiftMatrix, "entries lifting_factor", 0, (((0, 0), (0, 1)), 3)),
+    (ParityCheckMatrix, "n_rows n_cols adjacency", 0, (2, 2, frozenset({(0, 0), (1, 1)}))),
+    (
+        GirthReport,
+        "girth shortest_cycle_count cap method witness",
+        1,
+        (4, 2, 8, "bfs", ("v0", "c0", "v1", "c1")),
+    ),
+    (Girth8Table, "modulus col_headers row_headers", 0, (7, (0, 1), (2, 4))),
+    (ValidityVerdict, "valid failed_condition witness", 2, (False, 2, (0, 1))),
+    (
+        CaseClassification,
+        "kind delta chain blocks block_size block_count",
+        4,
+        (StructureKind.CHAIN_AND_BLOCKS, 2, (0, 2), ((1, 3),), 2, 1),
+    ),
+    (Girth8BoundRow, "n valid_tables hypothesis_tables violations", 0, (9, 2, 1, ((9, 0, 1, 2, 4),))),
+    (
+        Girth8BoundReport,
+        "l_prime n_min n_max bound rows",
+        0,
+        (2, 4, 5, 5, (Girth8BoundRow(4, 0, 0, ()),)),
+    ),
+    (SearchResult, "min_n witness nodes", 0, (5, ShiftMatrix(((0, 0), (0, 1)), 5), 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, n_defaults, values", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_behaves_as_a_frozen_dataclass(cls, names, n_defaults, values):
+    # each record against a twin built by dataclasses with the same fields
+    names = names.split()
+    required = len(names) - n_defaults
+    twin = dataclasses.make_dataclass(
+        "Twin",
+        [(a, object) for a in names[:required]] + [(a, object, None) for a in names[required:]],
+        frozen=True,
+    )
+    rec, ref = cls(*values), twin(*values)
+    assert vars(rec) == vars(ref) == dict(zip(names, values))
+    assert list(vars(rec)) == names
+    assert repr(rec).removeprefix(cls.__qualname__) == repr(ref).removeprefix("Twin")
+    assert hash(rec) == hash(ref)
+    assert cls.__match_args__ == twin.__match_args__ == tuple(names)
+
+    # construction: by position, by keyword, mixed, and with the defaults
+    kwargs = dict(zip(names, values))
+    assert cls(**kwargs) == rec and twin(**kwargs) == ref
+    head = dict(list(kwargs.items())[1:])
+    assert cls(values[0], **head) == rec and twin(values[0], **head) == ref
+    short = values[:required]
+    assert (cls(*short) == rec) == (twin(*short) == ref)
+    assert vars(cls(*short)) == vars(twin(*short))
+
+    # equality only within one class; the same on both sides
+    assert rec == cls(*values) and not rec != cls(*values)
+    assert rec != ref and ref != rec
+    assert rec.__eq__(ref) is NotImplemented and ref.__eq__(rec) is NotImplemented
+    assert rec != tuple(values)
+
+    # a missing, unknown or repeated argument, or one too many
+    for args, extra in [
+        (values[: required - 1], {}),
+        (values, {"unknown": 1}),
+        (values, {names[0]: values[0]}),
+        ((*values, None), {}),
+    ]:
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args, **extra)
+
+    # assignment and deletion, of a field or of any other name
+    for obj in (rec, ref):
+        for name in (names[0], names[-1], "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert rec == cls(*values)
+
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rec, protocol))
+        assert type(back) is cls and back == rec and hash(back) == hash(rec)
+
+
+def test_record_post_init_still_validates_and_normalizes():
+    for make in [
+        lambda: Permutation(()),
+        lambda: Permutation((0, 0, 1)),
+        lambda: Permutation(images=(1, 2, 3)),
+        lambda: CompleteMapping((0, 1, 2)),
+        lambda: ShiftMatrix(((0,),), 0),
+        lambda: ShiftMatrix(((0, 1), (0,)), lifting_factor=3),
+        lambda: ParityCheckMatrix(1, 1, frozenset({(1, 0)})),
+        lambda: GirthReport(None, 1, 8, "bfs"),
+        lambda: GirthReport(4, 2, 8, "bfs", witness=("v0", "c0")),
+        lambda: Girth8Table(7, (0,), (1,)),
+        lambda: Girth8Table(0, (0, 1), (1, 2)),
+        lambda: ValidityVerdict(True, failed_condition=1),
+    ]:
+        with pytest.raises(ValueError):
+            make()
+    assert Permutation([0, 2, 1]).images == (0, 2, 1)
+    assert ShiftMatrix(entries=[[5, -1]], lifting_factor=3).entries == ((2, 2),)
+    assert Girth8Table(7, (8, 1), (9, 3)).col_headers == (1, 1)
+    assert type(CompleteMapping((0, 2, 1)).images) is tuple
 
 
 def test_difference_sequence():
@@ -298,29 +430,21 @@ def test_census_leaves_no_reference_cycle():
 
 
 def test_map_branches_starts_no_idle_processes(monkeypatch):
-    # the pool has at most one process per searched branch, and none when
+    # the fan-out has at most one worker per searched branch, and none when
     # one branch is searched: N = 3 searches p(1) = 2, N = 7 p(1) = 2, 3, 4
     started = []
+    start_worker = mappings._start_worker
 
-    class RecordingPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
+    def recording_start(fn, branches):
+        started.append(len(branches))
+        return start_worker(fn, branches)
 
     serial = {n: enumerate_complete_mappings(n) for n in (3, 7)}
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(mappings, "_start_worker", recording_start)
     assert enumerate_complete_mappings(3, workers=4) == serial[3]
     assert started == []
     assert enumerate_complete_mappings(7, workers=4) == serial[7]
-    assert started == [3]
+    assert started == [3, 3, 3]
 
 
 def _slow_branch(branch):
@@ -339,6 +463,85 @@ def test_map_branches_close_stops_branches_in_flight(tmp_path):
     results.close()
     time.sleep(1.5)
     assert list(tmp_path.iterdir()) == []
+
+
+def _failing_branch(k):
+    if k == 2:
+        raise ValueError(f"branch {k} failed")
+    return k
+
+
+def test_map_branches_raises_a_worker_exception_at_its_turn():
+    results = _map_branches(_failing_branch, range(4), 2)
+    assert [next(results), next(results)] == [0, 1]
+    with pytest.raises(ValueError, match="branch 2 failed"):
+        next(results)
+
+
+def _run_in_own_group(script, seconds):
+    """Run a Python script in a fresh process group, which is killed and
+    fails the test if the script has not exited within seconds."""
+    src = str(Path(mappings.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=seconds)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"no exit within {seconds} s")
+    assert proc.returncode == 0, err
+
+
+DEATH_SCRIPT = """
+import os
+from qcgirth.mappings import _map_branches
+
+def die(k):
+    if k == 1:
+        os._exit(7)
+    return k
+
+try:
+    list(_map_branches(die, range(4), 2))
+except RuntimeError as exc:
+    assert "exit code 7" in str(exc), exc
+else:
+    raise SystemExit("a dead worker raised nothing")
+"""
+
+
+def test_map_branches_raises_when_a_worker_dies():
+    _run_in_own_group(DEATH_SCRIPT, 60)
+
+
+TEARDOWN_SCRIPT = """
+from qcgirth.mappings import BudgetError, _map_branches, enumerate_complete_mappings
+
+def big(k):
+    return bytes(16 << 20)
+
+for _ in range(2000):
+    try:
+        enumerate_complete_mappings(9, workers=2, max_nodes=300)
+    except BudgetError:
+        pass
+    else:
+        raise SystemExit("the budget was not hit")
+for _ in range(10):
+    results = _map_branches(big, list(range(4)), 2)
+    assert len(next(results)) == 16 << 20
+    results.close()
+"""
+
+
+def test_map_branches_teardown_never_stalls():
+    # each budgeted census closes its fan-out while a worker may still be
+    # sending a result, and so does each early close of 16 MB results; a
+    # teardown that waits on a lock a killed worker held stalls here
+    _run_in_own_group(TEARDOWN_SCRIPT, 120)
 
 
 def test_census_rejects_bad_modulus():
@@ -368,13 +571,13 @@ def test_count_path_matches_unreduced_census():
 
 
 def _no_backtracking(*args, **kwargs):
-    raise AssertionError("the count path backtracked or started a pool")
+    raise AssertionError("the count path backtracked or started a worker")
 
 
 def test_count_path_neither_backtracks_nor_starts_processes(monkeypatch):
     # a work gate: a wall-clock bound cannot tell the two paths apart
     monkeypatch.setattr("qcgirth.mappings._enumerate_branch", _no_backtracking)
-    monkeypatch.setattr(multiprocessing, "Pool", _no_backtracking)
+    monkeypatch.setattr(mappings, "_start_worker", _no_backtracking)
     census = enumerate_complete_mappings(15, limit=0, workers=2)
     assert (census.count, census.nodes) == (2424195, 68644968)
 

@@ -4,6 +4,8 @@ import ast
 import hashlib
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -242,3 +244,27 @@ def test_public_names_match_package_imports():
     assert qcgirth.__all__ == sorted(qcgirth.__all__)
     assert qcgirth.__all__ == imported
     assert [n for n in qcgirth.__all__ if not hasattr(qcgirth, n)] == []
+
+
+START_UP_SCRIPT = """
+import sys
+before = set(sys.modules)
+import qcgirth.cli
+code = qcgirth.cli.main(["mappings", "count", "--n", "7"])
+loaded = set(sys.modules) - before
+print(sorted(loaded & {"dataclasses", "inspect", "multiprocessing"}))
+sys.exit(code)
+"""
+
+
+def test_cli_start_up_loads_no_process_or_dataclass_machinery():
+    # a command that starts no worker must not pay for importing
+    # multiprocessing, nor for dataclasses and the inspect module it pulls in
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "complete mappings of Z/7: 19" in proc.stdout
