@@ -216,7 +216,12 @@ def import_alist(text: str) -> ParityCheckMatrix:
                 raise AlistParseError(
                     lineno, f"one at ({r}, {v - 1}) missing from column section"
                 )
-    if len(ones) != sum(col_deg):
+        if len(set(entries)) != len(entries):
+            raise AlistParseError(lineno, f"row {r} lists a column twice")
+    # the row section lists sum(row_deg) distinct ones of the column
+    # section, so all of them when that is len(ones); the column section
+    # repeats none when len(ones) is sum(col_deg)
+    if not len(ones) == sum(col_deg) == sum(row_deg):
         raise AlistParseError(len(lines), "column and row sections disagree")
     if (max_col, max_row) != (max(col_deg), max(row_deg)):
         raise AlistParseError(2, "max degrees differ from the degree lists")

@@ -17,7 +17,8 @@ of each other exactly when b o a^-1 is a complete mapping, so against a
 census that keeps every witness each pair is one set lookup.
 
 Only a fan-out over workers starts processes, and it imports
-multiprocessing when it does.  Each worker owns one pipe and shares no
+multiprocessing when it does.  Each worker runs a fixed share of the
+branches and sends its results down its own one-way pipe; it shares no
 lock with the parent, so closing the fan-out early, or a worker dying,
 never leaves the parent waiting: it kills and joins its workers.
 """
@@ -202,13 +203,14 @@ def is_complete_mapping(p: Permutation) -> bool:
 
 def _map_branches(fn: Callable, branches: Sequence, workers: int) -> Iterator:
     """Yield fn(branch) for each branch in order: in this process when
-    workers or the number of branches is 1, else from min(workers,
+    workers or the number of branches is 1, else from W = min(workers,
     len(branches)) worker processes.
 
-    Each worker is started (forked, on Linux) with fn and branches, owns
-    one pipe to this process and shares no lock with it.  A worker receives a branch index,
-    sends back its result and gets the next index not yet handed out; the
-    results are yielded in branch order.  An exception raised by fn in a
+    Worker k is started (forked, on Linux) with its fixed share, branches
+    k, k + W, k + 2W, ..., runs them in turn, sends each result down its own
+    one-way pipe and returns after the last; it shares no lock with this
+    process.  Branch i is the next result on worker i mod W's pipe, so the
+    results are read in branch order.  An exception raised by fn in a
     worker is raised here at its branch's turn, and a worker that dies
     raises RuntimeError.  However the generator ends (exhausted, closed
     early, or raising), it kills and joins every worker it started, so
@@ -221,82 +223,66 @@ def _map_branches(fn: Callable, branches: Sequence, workers: int) -> Iterator:
     if processes <= 1:
         yield from map(fn, branches)
         return
-    from multiprocessing.connection import wait
-
-    running = {}  # parent end of each worker's pipe -> its process
+    indexed = list(enumerate(branches))
+    started = []  # each worker's process and the parent end of its pipe
     try:
         for k in range(processes):
-            process, conn = _start_worker(fn, branches)
-            running[conn] = process
-            conn.send(k)
-        handed = processes
-        done = {}  # branch index -> (raised, result or exception)
-        for k in range(len(branches)):
-            while k not in done:
-                for conn in wait(list(running)):
-                    try:
-                        i, raised, value = conn.recv()
-                        if handed < len(branches):
-                            conn.send(handed)
-                            handed += 1
-                    except (EOFError, OSError):
-                        process = running[conn]
-                        process.join()
-                        raise RuntimeError(
-                            f"branch worker {process.pid} died "
-                            f"with exit code {process.exitcode}"
-                        ) from None
-                    done[i] = raised, value
-            raised, value = done.pop(k)
+            started.append(_start_worker(fn, indexed[k::processes]))
+        for i in range(len(branches)):
+            process, conn = started[i % processes]
+            try:
+                raised, value = conn.recv()
+            except (EOFError, OSError):
+                process.join()
+                raise RuntimeError(
+                    f"branch worker {process.pid} died "
+                    f"with exit code {process.exitcode}"
+                ) from None
             if raised:
                 raise value
             yield value
     finally:
-        for process in running.values():
+        for process, _ in started:
             process.kill()
-        for conn, process in running.items():
+        for process, conn in started:
             process.join()
             process.close()
             conn.close()
 
 
-def _start_worker(fn: Callable, branches: Sequence):
-    """Start one _branch_worker process; returns it and the parent end of
-    its pipe.  The pipe is made here and the child end closed once the
-    worker holds it, so the parent sees end of file when the worker dies."""
+def _start_worker(fn: Callable, share: Sequence):
+    """Start one _branch_worker process on share, a list of (branch index,
+    branch) pairs; returns it and the receiving end of its pipe.  The
+    sending end is closed here once the worker holds it, so this process
+    sees end of file when the worker dies."""
     import multiprocessing
 
-    conn, child_conn = multiprocessing.Pipe()
+    conn, child_conn = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(
-        target=_branch_worker, args=(child_conn, fn, branches), daemon=True
+        target=_branch_worker, args=(child_conn, fn, share), daemon=True
     )
     process.start()
     child_conn.close()
     return process, conn
 
 
-def _branch_worker(conn, fn: Callable, branches: Sequence) -> None:
-    """Worker loop of _map_branches: for each branch index received, send
-    (index, False, fn(branch)), or (index, True, exception) if fn raised;
-    return when the parent's end closes."""
-    while True:
+def _branch_worker(conn, fn: Callable, share: Sequence) -> None:
+    """Worker of _map_branches: for each (index, branch) of share, in order,
+    send (False, fn(branch)), or (True, exception) if fn raised."""
+    for k, branch in share:
         try:
-            k = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (k, False, fn(branches[k]))
+            reply = (False, fn(branch))
         except Exception as exc:
             # the traceback does not pickle; its text goes along as a note
             import traceback
 
             text = f"raised in the worker of branch {k}:\n{traceback.format_exc()}"
             exc.__notes__ = [*getattr(exc, "__notes__", ()), text]
-            reply = (k, True, exc)
+            reply = (True, exc)
         try:
             conn.send(reply)
         except Exception as exc:  # the result or the exception does not pickle
-            conn.send((k, True, RuntimeError(f"branch {k}: {exc!r}")))
+            conn.send((True, RuntimeError(f"branch {k}: {exc!r}")))
 
 
 def _enumerate_branch(
@@ -502,7 +488,7 @@ def enumerate_complete_mappings(
         witnesses.extend(b_witnesses)
         if budget_hit:
             break
-    results.close()  # stops the branches a pool still runs past the budget
+    results.close()  # stops the branches workers still run past the budget
     census = MappingCensus(n, count, tuple(witnesses[:witness_cap]), nodes)
     if budget_hit:
         raise BudgetError(

@@ -178,6 +178,18 @@ def test_girth_on_alist_file(tmp_path, capsys):
     assert "method bfs" in out and "girth 6" in out
 
 
+@pytest.mark.parametrize("text", [
+    "2 2\n1 1\n1 1\n1 0\n1\n2\n1\n\n",  # row section misses (1, 1)
+    "1 1\n1 2\n1\n2\n1\n1 1\n",  # row 0 lists column 0 twice
+])
+def test_girth_rejects_alist_whose_sections_disagree(tmp_path, capsys, text):
+    path = tmp_path / "p.alist"
+    path.write_text(text)
+    code, out, err = run(capsys, ["girth", "--input", str(path), "--method", "bfs"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error:" in err
+
+
 def test_girth_shifts_method_requires_shift_file(tmp_path, capsys):
     path = tmp_path / "p.alist"
     path.write_text(export_alist(lift(girth6_odd_L_explicit(5, 2))))

@@ -171,6 +171,14 @@ def test_import_alist_rejects_malformed_text():
     with pytest.raises(AlistParseError, match="missing from column section"):
         import_alist("\n".join(mismatched))
 
+    # the row section lists (0, 0) but not (1, 1), which the column section has
+    with pytest.raises(AlistParseError, match="sections disagree"):
+        import_alist("2 2\n1 1\n1 1\n1 0\n1\n2\n1\n\n")
+    # row 0 lists column 0 twice, matching its degree 2
+    with pytest.raises(AlistParseError, match="twice") as info:
+        import_alist("1 1\n1 2\n1\n2\n1\n1 1\n")
+    assert info.value.line == 6
+
 
 def test_import_alist_checks_declared_max_degrees():
     good = export_alist(lift(ShiftMatrix(entries=((1,),), lifting_factor=2)))

@@ -435,16 +435,16 @@ def test_map_branches_starts_no_idle_processes(monkeypatch):
     started = []
     start_worker = mappings._start_worker
 
-    def recording_start(fn, branches):
-        started.append(len(branches))
-        return start_worker(fn, branches)
+    def recording_start(fn, share):
+        started.append(len(share))
+        return start_worker(fn, share)
 
     serial = {n: enumerate_complete_mappings(n) for n in (3, 7)}
     monkeypatch.setattr(mappings, "_start_worker", recording_start)
     assert enumerate_complete_mappings(3, workers=4) == serial[3]
     assert started == []
     assert enumerate_complete_mappings(7, workers=4) == serial[7]
-    assert started == [3, 3, 3]
+    assert started == [1, 1, 1]
 
 
 def _slow_branch(branch):
@@ -542,6 +542,36 @@ def test_map_branches_teardown_never_stalls():
     # sending a result, and so does each early close of 16 MB results; a
     # teardown that waits on a lock a killed worker held stalls here
     _run_in_own_group(TEARDOWN_SCRIPT, 120)
+
+
+LARGE_RESULTS_SCRIPT = """
+import os
+import tempfile
+from pathlib import Path
+from qcgirth.mappings import _map_branches
+
+def large(branch):
+    marker_dir, k = branch
+    Path(marker_dir, f"branch-{k}").touch(exist_ok=False)  # a rerun raises
+    return k, os.getpid(), bytes([k]) * (1 << 20)
+
+with tempfile.TemporaryDirectory() as marker_dir:
+    results = list(_map_branches(large, [(marker_dir, k) for k in range(5)], 2))
+    assert len(os.listdir(marker_dir)) == 5
+assert [(k, data) for k, _, data in results] == [
+    (k, bytes([k]) * (1 << 20)) for k in range(5)
+]
+pids = [pid for _, pid, _ in results]
+assert len({*pids[0::2]}) == len({*pids[1::2]}) == 1, pids
+assert len({*pids, os.getpid()}) == 3, pids
+"""
+
+
+def test_map_branches_reads_large_results_in_order():
+    # each 1 MB result overfills a pipe, so both workers block on a send
+    # until its turn comes; a full read gets every branch once, in order,
+    # with worker k running branches k, k + 2, ...
+    _run_in_own_group(LARGE_RESULTS_SCRIPT, 60)
 
 
 def test_census_rejects_bad_modulus():
