@@ -133,7 +133,7 @@ def girth_bfs(h: ParityCheckMatrix, cap: int = 12) -> GirthReport:
     if cap < 4 or cap % 2:
         raise ValueError(f"cap must be even and >= 4, got {cap}")
     m = h.n_rows  # checks are vertices 0..m-1, variables m..m+n-1
-    adj = [[m + c for c in cs] for cs in h.row_neighbors()] + h.col_neighbors()
+    adj = [[m + c for c in cs] for cs in h.rows] + h.col_neighbors()
     girth: Optional[int] = None
     first, first_dist = -1, []  # smallest vertex on a girth cycle, its BFS levels
     pairs = 0  # rooted shortest cycles: each cycle once per check on it

@@ -10,6 +10,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Optional
 
 from .mappings import Permutation, _record
@@ -61,37 +62,38 @@ class ShiftMatrix:
 
 @_record
 class ParityCheckMatrix:
-    """Sparse binary JN x LN matrix; adjacency is the set of one-positions."""
+    """Sparse binary matrix with n_cols columns, stored as its rows.
 
-    n_rows: int
+    rows[r] is the tuple of the columns of row r's ones in strictly
+    ascending order.  export_alist's bytes and girth_bfs's canonical
+    witness depend on this order, as on that of col_neighbors.
+    """
+
     n_cols: int
-    adjacency: frozenset[tuple[int, int]]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for r, c in self.adjacency:
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
-                raise ValueError(f"one-position ({r}, {c}) outside matrix")
+        n = self.n_cols
+        for r, row in enumerate(self.rows):
+            if row and not (0 <= row[0] and row[-1] < n and all(map(lt, row, row[1:]))):
+                raise ValueError(f"row {r} is not strictly ascending inside [0, {n})")
 
-    def row_neighbors(self) -> list[list[int]]:
-        """Per row, the columns of its ones in ascending order.
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
 
-        export_alist's bytes and girth_bfs's canonical witness depend on
-        this order, as on that of col_neighbors.
-        """
-        out: list[list[int]] = [[] for _ in range(self.n_rows)]
-        for r, c in self.adjacency:
-            out[r].append(c)
-        for lst in out:
-            lst.sort()
-        return out
+    @property
+    def adjacency(self) -> frozenset[tuple[int, int]]:
+        """The one-positions (row, column)."""
+        return frozenset((r, c) for r, row in enumerate(self.rows) for c in row)
 
     def col_neighbors(self) -> list[list[int]]:
-        """Per column, the rows of its ones in ascending order."""
+        """Per column, the rows of its ones in ascending order: the rows
+        are read in order, so no list needs a sort."""
         out: list[list[int]] = [[] for _ in range(self.n_cols)]
-        for r, c in self.adjacency:
-            out[c].append(r)
-        for lst in out:
-            lst.sort()
+        for r, row in enumerate(self.rows):
+            for c in row:
+                out[c].append(r)
         return out
 
 
@@ -125,27 +127,24 @@ def normalize(p: ShiftMatrix) -> ShiftMatrix:
 
 
 def lift(p: ShiftMatrix) -> ParityCheckMatrix:
-    """Expand each shift entry into its circulant permutation block."""
+    """Expand each shift entry into its circulant permutation block.
+
+    Row r of block row j has its block-l one at l*N + (r + P[j][l]) mod N,
+    so each row's columns come out ascending with l.
+    """
     n = p.lifting_factor
-    ones = set()
-    for j in range(p.rows):
-        base_r = j * n
-        for l in range(p.cols):
-            base_c = l * n
-            s = p.entries[j][l]
-            for r in range(n):
-                ones.add((base_r + r, base_c + (r + s) % n))
-    return ParityCheckMatrix(
-        n_rows=p.rows * n,
-        n_cols=p.cols * n,
-        adjacency=frozenset(ones),
-    )
+    rows: list[tuple[int, ...]] = []
+    for shifts in p.entries:
+        # block l's ones for r = 0..N-1: block l's columns rotated by its shift
+        rows += zip(*[[*range(l * n + s, l * n + n), *range(l * n, l * n + s)]
+                      for l, s in enumerate(shifts)])
+    return ParityCheckMatrix(p.cols * n, tuple(rows))
 
 
 def export_alist(h: ParityCheckMatrix) -> str:
     """Standard alist text: 1-based indices, zero-padded to the max degree."""
     by_col = h.col_neighbors()
-    by_row = h.row_neighbors()
+    by_row = h.rows
     max_col = max((len(x) for x in by_col), default=0)
     max_row = max((len(x) for x in by_row), default=0)
     lines = [
@@ -201,6 +200,7 @@ def import_alist(text: str) -> ParityCheckMatrix:
             if not 1 <= v <= n_rows:
                 raise AlistParseError(lineno, f"row index {v} out of range")
             ones.add((v - 1, c))
+    rows = []
     for r in range(n_rows):
         lineno = 5 + n_cols + r
         vals = _ints(need(lineno - 1), lineno)
@@ -218,6 +218,10 @@ def import_alist(text: str) -> ParityCheckMatrix:
                 )
         if len(set(entries)) != len(entries):
             raise AlistParseError(lineno, f"row {r} lists a column twice")
+        rows.append(tuple(sorted(v - 1 for v in entries)))
+    for i in range(4 + n_cols + n_rows, len(lines)):
+        if lines[i].strip():
+            raise AlistParseError(i + 1, "text after the row section")
     # the row section lists sum(row_deg) distinct ones of the column
     # section, so all of them when that is len(ones); the column section
     # repeats none when len(ones) is sum(col_deg)
@@ -225,7 +229,7 @@ def import_alist(text: str) -> ParityCheckMatrix:
         raise AlistParseError(len(lines), "column and row sections disagree")
     if (max_col, max_row) != (max(col_deg), max(row_deg)):
         raise AlistParseError(2, "max degrees differ from the degree lists")
-    return ParityCheckMatrix(n_rows=n_rows, n_cols=n_cols, adjacency=frozenset(ones))
+    return ParityCheckMatrix(n_cols, tuple(rows))
 
 
 def export_shift_matrix(p: ShiftMatrix) -> str:

@@ -190,6 +190,16 @@ def test_girth_rejects_alist_whose_sections_disagree(tmp_path, capsys, text):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("tail", ["1 2\n", "junk\n"])
+def test_girth_rejects_alist_with_trailing_text(tmp_path, capsys, tail):
+    good = export_alist(lift(ShiftMatrix(entries=((1,),), lifting_factor=2)))
+    path = tmp_path / "p.alist"
+    path.write_text(good + tail)
+    code, out, err = run(capsys, ["girth", "--input", str(path), "--method", "bfs"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "after the row section" in err
+
+
 def test_girth_shifts_method_requires_shift_file(tmp_path, capsys):
     path = tmp_path / "p.alist"
     path.write_text(export_alist(lift(girth6_odd_L_explicit(5, 2))))

@@ -31,7 +31,7 @@ def assert_witness_is_cycle(report, h):
 
 def brute_4cycles(h):
     """In-test oracle: count (check pair, variable pair) quadruples directly."""
-    rows = h.row_neighbors()
+    rows = h.rows
     count = 0
     for r1 in range(h.n_rows):
         for r2 in range(r1 + 1, h.n_rows):
@@ -432,6 +432,15 @@ def test_shift_oracle_invariant_under_row_permutation():
     assert seen == {4, 6, 8, 10, 12}, seen
 
 
+def from_ones(n_rows, n_cols, ones):
+    """The n_rows x n_cols ParityCheckMatrix with ones at the (row, column)
+    pairs of ones."""
+    rows = [set() for _ in range(n_rows)]
+    for r, c in ones:
+        rows[r].add(c)
+    return ParityCheckMatrix(n_cols, tuple(tuple(sorted(cs)) for cs in rows))
+
+
 def random_tanner_graph(rng):
     """(kind, ParityCheckMatrix) of a small random bipartite graph with no
     quasi-cyclic structure: a tree, one 2k-cycle with trees hanging off
@@ -477,7 +486,7 @@ def random_tanner_graph(rng):
         m2, n2, edges2 = one(rng.choice(("tree", "ring", "random")))
         edges += [(m + r, n + c) for r, c in edges2]
         m, n = m + m2, n + n2
-    return kind, ParityCheckMatrix(m, n, frozenset(edges))
+    return kind, from_ones(m, n, edges)
 
 
 def test_bfs_oracle_matches_full_depth_search():
@@ -508,9 +517,7 @@ def test_bfs_oracle_matches_full_depth_search():
 
 def transpose(h):
     """The same Tanner graph with checks and variables swapped."""
-    return ParityCheckMatrix(
-        h.n_cols, h.n_rows, frozenset((c, r) for r, c in h.adjacency)
-    )
+    return from_ones(h.n_cols, h.n_rows, [(c, r) for r, c in h.adjacency])
 
 
 def test_bfs_oracle_invariant_under_transposition():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +101,7 @@ def test_lift_small_example():
     p = ShiftMatrix(entries=((0, 1), (1, 0)), lifting_factor=2)
     h = lift(p)
     assert h.n_rows == 4 and h.n_cols == 4
+    assert h.rows == ((0, 3), (1, 2), (1, 2), (0, 3))
     assert h.adjacency == frozenset(
         {(0, 0), (1, 1), (0, 3), (1, 2), (2, 1), (3, 0), (2, 2), (3, 3)}
     )
@@ -108,18 +111,20 @@ def test_lift_small_example():
 def test_lift_degrees(p):
     h = lift(p)
     assert all(len(col) == p.rows for col in h.col_neighbors())
-    assert all(len(row) == p.cols for row in h.row_neighbors())
+    assert all(len(row) == p.cols for row in h.rows)
     assert len(h.adjacency) == p.rows * p.cols * p.lifting_factor
 
 
 def test_parity_check_matrix_bounds():
-    with pytest.raises(ValueError, match="outside"):
-        ParityCheckMatrix(n_rows=2, n_cols=2, adjacency=frozenset({(2, 0)}))
+    for rows in (((2,),), ((-1, 0),), ((0, 1), (1, 0)), ((1, 1),)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ParityCheckMatrix(n_cols=2, rows=rows)
+    assert ParityCheckMatrix(n_cols=2, rows=((), (0, 1))).n_rows == 2
 
 
 def test_parity_check_equality_ignores_block_metadata():
     h = lift(ShiftMatrix(entries=((0, 1), (1, 0)), lifting_factor=2))
-    bare = ParityCheckMatrix(n_rows=4, n_cols=4, adjacency=h.adjacency)
+    bare = ParityCheckMatrix(n_cols=4, rows=((0, 3), (1, 2), (1, 2), (0, 3)))
     assert h == bare
     assert hash(h) == hash(bare)
 
@@ -140,9 +145,7 @@ def test_alist_roundtrip():
 
 
 def test_alist_roundtrip_uneven_degrees():
-    h = ParityCheckMatrix(
-        n_rows=2, n_cols=3, adjacency=frozenset({(0, 0), (0, 1), (1, 1), (1, 2)})
-    )
+    h = ParityCheckMatrix(n_cols=3, rows=((0, 1), (1, 2)))
     assert import_alist(export_alist(h)) == h
 
 
@@ -178,6 +181,36 @@ def test_import_alist_rejects_malformed_text():
     with pytest.raises(AlistParseError, match="twice") as info:
         import_alist("1 1\n1 2\n1\n2\n1\n1 1\n")
     assert info.value.line == 6
+
+    # the file ends with its last row line, apart from blank lines
+    end = len(lines)
+    for tail, line in (("1 2\n", end + 1), ("junk\n", end + 1),
+                       ("\n\n1\n", end + 3), ("  \n0", end + 2)):
+        with pytest.raises(AlistParseError, match="after the row section") as info:
+            import_alist(good + tail)
+        assert info.value.line == line
+    for tail in ("\n", "\n\n", " \n\t\n"):
+        assert import_alist(good + tail) == import_alist(good)
+
+
+def test_import_alist_sorts_lists_in_any_order():
+    # the import sorts each row, so shuffled lists (zero padding included)
+    # give the same matrix and the canonical export
+    rng = random.Random(31)
+    for h in (
+        lift(ShiftMatrix(entries=((0, 1, 2), (2, 0, 1), (1, 2, 0)), lifting_factor=4)),
+        ParityCheckMatrix(n_cols=3, rows=((0, 1), (1, 2))),
+    ):
+        canonical = export_alist(h)
+        lines = canonical.splitlines()
+        for i in range(4, len(lines)):
+            vals = lines[i].split()
+            rng.shuffle(vals)
+            lines[i] = " ".join(vals)
+        assert lines != canonical.splitlines()
+        back = import_alist("\n".join(lines) + "\n")
+        assert all(list(row) == sorted(row) for row in back.rows)
+        assert back == h and export_alist(back) == canonical
 
 
 def test_import_alist_checks_declared_max_degrees():

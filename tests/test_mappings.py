@@ -122,7 +122,7 @@ RECORDS = [
     (CompleteMapping, "images", 0, ((0, 2, 4, 1, 3),)),
     (MappingCensus, "modulus count samples nodes", 0, (3, 1, ((0, 2, 1),), 2)),
     (ShiftMatrix, "entries lifting_factor", 0, (((0, 0), (0, 1)), 3)),
-    (ParityCheckMatrix, "n_rows n_cols adjacency", 0, (2, 2, frozenset({(0, 0), (1, 1)}))),
+    (ParityCheckMatrix, "n_cols rows", 0, (2, ((0,), (1,)))),
     (
         GirthReport,
         "girth shortest_cycle_count cap method witness",
@@ -215,7 +215,7 @@ def test_record_post_init_still_validates_and_normalizes():
         lambda: CompleteMapping((0, 1, 2)),
         lambda: ShiftMatrix(((0,),), 0),
         lambda: ShiftMatrix(((0, 1), (0,)), lifting_factor=3),
-        lambda: ParityCheckMatrix(1, 1, frozenset({(1, 0)})),
+        lambda: ParityCheckMatrix(1, ((1,),)),
         lambda: GirthReport(None, 1, 8, "bfs"),
         lambda: GirthReport(4, 2, 8, "bfs", witness=("v0", "c0")),
         lambda: Girth8Table(7, (0,), (1,)),

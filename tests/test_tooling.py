@@ -51,6 +51,44 @@ def test_trace_hooks_resolve(monkeypatch):
     assert spans.WRAPPED and missing == []
 
 
+def test_trace_counters_evaluate(monkeypatch, tmp_path, capsys):
+    # the traced run reads fields of the wrapped calls' arguments and
+    # results (a lifted matrix's adjacency, a census's nodes); one command
+    # of each kind must give every counted span its counts
+    from qcgirth import cli, search
+    from qcgirth.lifting import export_shift_matrix
+    from qcgirth.search import girth6_odd_L_explicit
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    shifts = tmp_path / "p.txt"
+    shifts.write_text(export_shift_matrix(girth6_odd_L_explicit(5, 2)))
+    alist = tmp_path / "p.alist"
+    commands = [
+        ["construct", "product", "--l", "5", "--alist", "--output", str(alist)],
+        ["girth", "--input", str(shifts), "--method", "both"],
+        ["girth", "--input", str(alist), "--method", "bfs"],
+        ["mappings", "count", "--n", "7"],
+        ["mappings", "enumerate", "--n", "5"],
+        ["verify", "pairwise", "--n", "7"],
+        ["verify", "min-lift", "--l-min", "4", "--l-max", "4"],
+        ["verify", "girth8-bound", "--lprime", "2", "--n-max", "6"],
+    ]
+    recorder = spans.Recorder()
+    recorder.install({"cli": cli, "search": search})
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+    finally:
+        recorder.remove()
+    capsys.readouterr()
+    counted = {family for _, _, _, family, counter in spans.WRAPPED if counter}
+    empty = [s.family for s in recorder.spans if s.family in counted and not s.counts]
+    assert empty == []
+    assert counted <= {s.family for s in recorder.spans}
+    assert spans.layer_metrics(recorder.spans)["lifting.lift.ones"][0] > 0
+
+
 def test_benchmark_jobs_parse(monkeypatch, tmp_path):
     # every benchmark job is a CLI command line; a CLI change that drops
     # or renames an option it uses would otherwise only show in that run
