@@ -88,11 +88,10 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .lifting import ParityCheckMatrix, ShiftMatrix
-from .mappings import _record
+from .mappings import _Record
 
 
-@_record
-class GirthReport:
+class GirthReport(_Record):
     """Girth result relative to a search cap.
 
     girth None means no cycle of length <= cap exists, so the count is 0
@@ -230,7 +229,9 @@ def _first_cycle(
             path.pop()
         return False
 
-    if not dfs(s, 0):
+    found = dfs(s, 0)
+    del dfs  # dfs reaches itself through its closure cell
+    if not found:
         raise RuntimeError(f"no {girth}-cycle has minimum vertex {s}")
     return path
 

@@ -34,11 +34,10 @@ from itertools import combinations
 from typing import Optional
 
 from .lifting import ShiftMatrix
-from .mappings import _map_branches, _record
+from .mappings import _map_branches, _Record
 
 
-@_record
-class Girth8Table:
+class Girth8Table(_Record):
     """L' x L' difference table with its headers and diagonal."""
 
     modulus: int
@@ -72,8 +71,7 @@ class Girth8Table:
         return tuple(self.entry(i, i) for i in range(self.l_prime))
 
 
-@_record
-class ValidityVerdict:
+class ValidityVerdict(_Record):
     """Outcome of the five ordered validity conditions.
 
     failed_condition is the 1-based index of the first failed condition;
@@ -95,8 +93,7 @@ class StructureKind(enum.Enum):
     UNRECOGNIZED = "unrecognized"
 
 
-@_record
-class CaseClassification:
+class CaseClassification(_Record):
     """Arrangement of A_i united with the partner diagonal element.
 
     CHAIN: a single delta-increment chain of L'+1 elements from d_i to d_j.
@@ -352,8 +349,7 @@ def verify_partition_bound(k: int, ell: int, l_prime: int) -> tuple[int, str]:
     return bound, label
 
 
-@_record
-class Girth8BoundRow:
+class Girth8BoundRow(_Record):
     """Per-N sweep summary."""
 
     n: int
@@ -362,8 +358,7 @@ class Girth8BoundRow:
     violations: tuple[tuple[int, ...], ...]  # (N, col headers..., row headers...)
 
 
-@_record
-class Girth8BoundReport:
+class Girth8BoundReport(_Record):
     """Exhaustive sweep result over N for one table size.
 
     A violation is a valid table meeting the intersection hypothesis at
@@ -454,7 +449,22 @@ def _sweep_one_n(
         all_neg = sum(neg_cols)
         neg_others = [all_neg ^ b for b in neg_cols]
         rec(0, 0, 0, all_neg)
+    del rec  # rec reaches itself through its closure cell
     return n, valid, hyp, violations
+
+
+def _sweep_n_min(l_prime: int, n_min: Optional[int], n_max: int) -> int:
+    """n_min, defaulted to L'+1; raises ValueError unless L' >= 2 and
+    1 <= n_min <= n_max."""
+    if l_prime < 2:
+        raise ValueError(f"need L' >= 2, got {l_prime}")
+    if n_min is None:
+        n_min = l_prime + 1
+    if n_min < 1:
+        raise ValueError(f"need N >= 1, got n_min {n_min}")
+    if n_min > n_max:
+        raise ValueError(f"empty N range [{n_min}, {n_max}]")
+    return n_min
 
 
 def verify_girth8_bound(
@@ -473,14 +483,7 @@ def verify_girth8_bound(
     fans the branches out over processes, and the merge in ascending order
     makes the report identical for every worker count.
     """
-    if l_prime < 2:
-        raise ValueError(f"need L' >= 2, got {l_prime}")
-    if n_min is None:
-        n_min = l_prime + 1
-    if n_min < 1:
-        raise ValueError(f"need N >= 1, got n_min {n_min}")
-    if n_min > n_max:
-        raise ValueError(f"empty N range [{n_min}, {n_max}]")
+    n_min = _sweep_n_min(l_prime, n_min, n_max)
     ns = range(n_min, n_max + 1)
     totals = {n: (0, 0, []) for n in ns}
     branches = [(n, first) for n in ns for first in range(1, n - l_prime + 1)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import lt
 from typing import Optional
 
-from .mappings import Permutation, _record
+from .mappings import Permutation, _Record
 
 
 class AlistParseError(ValueError):
@@ -24,8 +24,7 @@ class AlistParseError(ValueError):
         self.line = line
 
 
-@_record
-class ShiftMatrix:
+class ShiftMatrix(_Record):
     """J x L matrix of shift values mod N, stored row-major as plain ints.
 
     Entries are normalized into [0, N) at construction.
@@ -60,8 +59,7 @@ class ShiftMatrix:
         )
 
 
-@_record
-class ParityCheckMatrix:
+class ParityCheckMatrix(_Record):
     """Sparse binary matrix with n_cols columns, stored as its rows.
 
     rows[r] is the tuple of the columns of row r's ones in strictly

@@ -42,108 +42,79 @@ class BudgetError(RuntimeError):
         self.partial = partial
 
 
-_MISSING = object()  # the default of a field that has none
+class _Record:
+    """Base of the immutable records: each subclass behaves as if made by
+    @dataclass(frozen=True), without importing dataclasses.
 
-
-def _record(cls: type) -> type:
-    """Make cls an immutable record with the methods @dataclass(frozen=True)
-    would generate, shared by every record instead of generated per class.
-
-    The fields are the annotated names of cls and its bases, bases first;
-    a class attribute of the same name is the field's default.  __init__
-    binds positional and keyword arguments to the fields, raising
-    TypeError on a missing, unknown or repeated one, and then calls
-    __post_init__ if the class has one.  Records are equal only to records
-    of the same class with equal fields, hash and repr as the tuple of
-    their fields, and raise AttributeError on assignment and deletion.
+    The fields are the annotated names of the class and its bases, bases
+    first; a class attribute of the same name is the field's default.  A
+    class's first construction compiles its own __init__, with one
+    parameter per field, so Python binds the arguments and raises the
+    TypeError a dataclass would; it fills the instance dict in field order
+    and then calls __post_init__ if the class has one.  Records are equal
+    only to records of the same class with equal fields, hash and repr as
+    the tuple of their fields, and raise AttributeError on assignment and
+    deletion.
     """
-    names: list[str] = []
-    for klass in reversed(cls.__mro__):
-        for name in vars(klass).get("__annotations__", ()):
-            if name not in names:
-                names.append(name)
-    cls._record_fields = cls.__match_args__ = tuple(names)
-    cls._record_defaults = {a: getattr(cls, a, _MISSING) for a in names}
-    cls._record_post_init = getattr(cls, "__post_init__", None)
-    cls.__init__ = _record_init
-    cls.__eq__ = _record_eq
-    cls.__hash__ = _record_hash
-    cls.__repr__ = _record_repr
-    cls.__setattr__ = _record_setattr
-    cls.__delattr__ = _record_delattr
-    return cls
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names: list[str] = []
+        for klass in reversed(cls.__mro__):
+            for name in vars(klass).get("__annotations__", ()):
+                if name not in names:
+                    names.append(name)
+        cls.__match_args__ = tuple(names)
+        # so a subclass compiles its own __init__, not inheriting its base's
+        cls.__init__ = _Record.__init__
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        names = cls.__match_args__
+        # the generated code's own names are __record_ dunders, which no
+        # field is, so no field shadows them; the fields go straight into
+        # the instance dict, past the __setattr__ that refuses assignment
+        defaults = {a: getattr(cls, a) for a in names if hasattr(cls, a)}
+        params = ", ".join(
+            f"{a}=__record_defaults__[{a!r}]" if a in defaults else a for a in names
+        )
+        fields = ", ".join(f"{a!r}: {a}" for a in names)
+        source = (
+            f"def __init__(__record_self__, {params}):\n"
+            f"    __record_self__.__dict__.update({{{fields}}})\n"
+        )
+        if hasattr(cls, "__post_init__"):
+            source += "    __record_self__.__post_init__()\n"
+        scope = {"__record_defaults__": defaults}
+        exec(source, scope)
+        init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        init(self, *args, **kwargs)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{a}={v!r}' for a, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _record_values(self) -> tuple:
-    return tuple(map(self.__dict__.__getitem__, self._record_fields))
-
-
-def _record_init(self, *args, **kwargs) -> None:
-    cls = type(self)
-    names = cls._record_fields
-    # the fields go straight into the instance dict, as object.__setattr__
-    # would put them, past the __setattr__ that refuses assignment
-    fields = self.__dict__
-    if kwargs or len(args) != len(names):
-        # every field, in order, with its default or _MISSING; then the
-        # arguments over them
-        fields.update(cls._record_defaults)
-        if args:
-            fields.update(zip(names, args))
-        fields.update(kwargs)
-        if (
-            len(fields) > len(names)
-            or len(args) > len(names)
-            or (args and not kwargs.keys().isdisjoint(names[: len(args)]))
-        ):
-            why = _record_misfit(names, args, kwargs)
-            raise TypeError(f"{cls.__qualname__}() {why}")
-        for field in names:
-            if fields[field] is _MISSING:
-                why = f"missing required argument: {field!r}"
-                raise TypeError(f"{cls.__qualname__}() {why}")
-    else:
-        fields.update(zip(names, args))
-    if cls._record_post_init is not None:
-        cls._record_post_init(self)
-
-
-def _record_misfit(names: tuple, args: tuple, kwargs: dict) -> str:
-    """Why args and kwargs do not bind to names: too many positional
-    arguments, or an unknown or repeated keyword."""
-    if len(args) > len(names):
-        return f"takes {len(names)} positional arguments but {len(args)} were given"
-    field = next(f for f in kwargs if f not in names or f in names[: len(args)])
-    if field not in names:
-        return f"got an unexpected keyword argument {field!r}"
-    return f"got multiple values for argument {field!r}"
-
-
-def _record_eq(self, other: object):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return _record_values(self) == _record_values(other)
-
-
-def _record_hash(self) -> int:
-    return hash(_record_values(self))
-
-
-def _record_repr(self) -> str:
-    pairs = zip(self._record_fields, _record_values(self))
-    return f"{type(self).__qualname__}({', '.join(f'{a}={v!r}' for a, v in pairs)})"
-
-
-def _record_setattr(self, name: str, value: object) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _record_delattr(self, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-@_record
-class Permutation:
+class Permutation(_Record):
     """A bijection on Z/N stored as the image sequence (p(0), ..., p(N-1))."""
 
     images: tuple[int, ...]
@@ -161,7 +132,6 @@ class Permutation:
         return len(self.images)
 
 
-@_record
 class CompleteMapping(Permutation):
     """A permutation fixing 0 whose difference sequence is a permutation."""
 
@@ -171,8 +141,7 @@ class CompleteMapping(Permutation):
             raise ValueError(f"{self.images} is not a complete mapping")
 
 
-@_record
-class MappingCensus:
+class MappingCensus(_Record):
     """Exact count of complete mappings of Z/N plus retained witnesses.
 
     samples holds the witnesses as image tuples (p(0), ..., p(N-1)), exactly

@@ -101,7 +101,7 @@ from .lifting import ShiftMatrix, canonical_from_mapping
 # for the hooks of perfbench's traced run (--trace 1), which wrap them here
 from .mappings import (
     BudgetError,
-    _record,
+    _Record,
     compatible_pairs,  # noqa: F401
     enumerate_complete_mappings,  # noqa: F401
     product_mapping,
@@ -111,8 +111,7 @@ from .mappings import (
 Ties = tuple[list[int], list[list[int]], list[int]]
 
 
-@_record
-class SearchResult:
+class SearchResult(_Record):
     """Outcome of a minimal-N search.
 
     min_n is None when no admissible matrix exists with N <= n_max.  Every

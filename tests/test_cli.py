@@ -13,6 +13,7 @@ from qcgirth.cli import (
     main,
 )
 from qcgirth.girth import GirthReport
+from qcgirth.girth8 import verify_girth8_bound
 from qcgirth.lifting import (
     ShiftMatrix,
     export_alist,
@@ -430,6 +431,41 @@ def test_verify_girth8_conjecture(capsys):
         "N 4 valid 0\nN 5 valid 0\nN 6 valid 0\nN 7 valid 0\n"
         "below-bound-valid 0\n"
     )
+
+
+def test_verify_girth8_conjecture_sweeps_only_below_the_bound(capsys, monkeypatch):
+    # rows at N >= 3L'-1 are never reported, so no sweep may reach them;
+    # every report and exit code stays as it was when the whole range
+    # up to --n-max was swept
+    swept = []
+
+    def spy(l_prime, n_max, n_min=None, workers=1):
+        swept.append((l_prime, n_min, n_max))
+        return verify_girth8_bound(l_prime, n_max, n_min=n_min, workers=workers)
+
+    monkeypatch.setattr("qcgirth.cli.verify_girth8_bound", spy)
+    head = "girth8-conjecture-report 1\nlprime 3\nbound 8\n"
+    for flags, want in [
+        (["--n-min", "9", "--n-max", "10"],
+         (EXIT_OK, head + "n-min 9\nn-max 10\nbelow-bound-valid 0\n", "")),
+        (["--n-min", "8"], (EXIT_USAGE, "", "error: empty N range [8, 7]\n")),
+        (["--n-min", "11", "--n-max", "10"],
+         (EXIT_USAGE, "", "error: empty N range [11, 10]\n")),
+        (["--n-min", "6", "--n-max", "12"],
+         (EXIT_OK, head + "n-min 6\nn-max 12\nN 6 valid 0\nN 7 valid 0\n"
+          "below-bound-valid 0\n", "")),
+    ]:
+        assert run(capsys, ["verify", "girth8-conjecture", "--lprime", "3", *flags]) == want
+    assert swept == [(3, 6, 7)]
+    code, out, _ = run(capsys, ["verify", "girth8-conjecture", "--lprime", "4",
+                                "--n-max", "16"])
+    assert code == EXIT_OK
+    assert out == (
+        "girth8-conjecture-report 1\nlprime 4\nbound 11\nn-min 5\nn-max 16\n"
+        + "".join(f"N {n} valid 0\n" for n in range(5, 11))
+        + "below-bound-valid 0\n"
+    )
+    assert swept[1:] == [(4, 5, 10)]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -207,6 +207,32 @@ def test_record_behaves_as_a_frozen_dataclass(cls, names, n_defaults, values):
         assert type(back) is cls and back == rec and hash(back) == hash(rec)
 
 
+@pytest.mark.parametrize(
+    "cls, names, n_defaults, values", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_argument_errors_read_as_a_dataclass(cls, names, n_defaults, values):
+    # the same bad calls as above: each message is the dataclass twin's
+    # with the class name swapped
+    names = names.split()
+    required = len(names) - n_defaults
+    twin = dataclasses.make_dataclass(
+        "Twin",
+        [(a, object) for a in names[:required]] + [(a, object, None) for a in names[required:]],
+        frozen=True,
+    )
+    for args, extra in [
+        (values[: required - 1], {}),
+        (values, {"unknown": 1}),
+        (values, {names[0]: values[0]}),
+        ((*values, None), {}),
+    ]:
+        with pytest.raises(TypeError) as got:
+            cls(*args, **extra)
+        with pytest.raises(TypeError) as want:
+            twin(*args, **extra)
+        assert str(got.value) == str(want.value).replace("Twin", cls.__qualname__)
+
+
 def test_record_post_init_still_validates_and_normalizes():
     for make in [
         lambda: Permutation(()),

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from qcgirth import mappings, search
+from qcgirth import cli, mappings, search
 from qcgirth.girth import girth_bfs, girth_from_shifts, has_girth_at_least
 from qcgirth.girth8 import check_girth8_conditions, verify_girth8_bound
 from qcgirth.lifting import ShiftMatrix, export_alist, import_alist, lift
@@ -386,6 +386,10 @@ def test_search_leaves_no_reference_cycle():
         assert gc.collect() == 0
         assert almost_complete_mapping(8).images[0] == 0
         assert gc.collect() == 0
+        assert girth_bfs(lift(girth6_odd_L_explicit(9)), 12).girth == 6
+        assert gc.collect() == 0
+        assert verify_girth8_bound(4, 13).total_violations == 0
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -593,6 +597,21 @@ def test_min_lifting_factor_girth8_l7():
     assert girth_from_shifts(r.witness, 8).girth == 8
     assert girth_bfs(lift(r.witness), 8).girth == 8
     assert check_girth8_conditions(r.witness).valid
+
+
+def test_min_lifting_factor_girth8_l8():
+    # J = 3 girth 8 at L = 8: Tasdighi, Banihashemi and Sadeghi (2016) give
+    # 25, as does cli.REFERENCE_MIN_LIFT.  About 13 s on a 2-core host
+    r = min_lifting_factor(3, 8, 8, 25)
+    assert (r.min_n, r.nodes) == (25, 2012493)
+    assert r.witness.entries[1:] == (
+        (0, 1, 3, 5, 8, 10, 12, 13),
+        (0, 2, 7, 23, 24, 15, 20, 22),
+    )
+    assert girth_from_shifts(r.witness, 8).girth == 8
+    assert girth_bfs(lift(r.witness), 8).girth == 8
+    assert check_girth8_conditions(r.witness).valid
+    assert cli.REFERENCE_MIN_LIFT[3, 8, 8] == r.min_n
 
 
 def test_min_lifting_factor_j4_girth8_l6():
