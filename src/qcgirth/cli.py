@@ -264,7 +264,10 @@ def _cmd_verify_min_lift(args: argparse.Namespace) -> Result:
 
 
 def _cmd_verify_pairwise(args: argparse.Namespace) -> Result:
-    census = enumerate_complete_mappings(args.n, workers=args.workers)
+    # checked before the census, which would otherwise run for nothing
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"check budget must be >= 0, got {args.budget}")
+    census = enumerate_complete_mappings(args.n)
     code = EXIT_OK
     try:
         pairs = compatible_pairs(census, max_checks=args.budget)
@@ -301,7 +304,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> Result:
 def _cmd_verify_conjecture(args: argparse.Namespace) -> Result:
     bound = 3 * args.lprime - 1
     n_max = args.n_max if args.n_max is not None else bound - 1
-    n_min = _sweep_n_min(args.lprime, args.n_min, n_max)
+    n_min = _sweep_n_min(args.lprime, args.n_min, n_max, args.workers)
     # only the rows below the bound are reported, so only they are swept
     rows = ()
     if n_min < bound:
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pw.add_argument(
         "--budget", type=int, default=None, help="pair-check budget"
     )
-    _add_common(p_pw, workers=True)
+    _add_common(p_pw)
     p_pw.set_defaults(func=_cmd_verify_pairwise)
 
     p_gb = ver_sub.add_parser(

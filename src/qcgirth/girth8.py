@@ -453,9 +453,9 @@ def _sweep_one_n(
     return n, valid, hyp, violations
 
 
-def _sweep_n_min(l_prime: int, n_min: Optional[int], n_max: int) -> int:
-    """n_min, defaulted to L'+1; raises ValueError unless L' >= 2 and
-    1 <= n_min <= n_max."""
+def _sweep_n_min(l_prime: int, n_min: Optional[int], n_max: int, workers: int) -> int:
+    """n_min, defaulted to L'+1; raises ValueError unless L' >= 2,
+    1 <= n_min <= n_max and workers >= 1."""
     if l_prime < 2:
         raise ValueError(f"need L' >= 2, got {l_prime}")
     if n_min is None:
@@ -464,6 +464,8 @@ def _sweep_n_min(l_prime: int, n_min: Optional[int], n_max: int) -> int:
         raise ValueError(f"need N >= 1, got n_min {n_min}")
     if n_min > n_max:
         raise ValueError(f"empty N range [{n_min}, {n_max}]")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     return n_min
 
 
@@ -483,7 +485,7 @@ def verify_girth8_bound(
     fans the branches out over processes, and the merge in ascending order
     makes the report identical for every worker count.
     """
-    n_min = _sweep_n_min(l_prime, n_min, n_max)
+    n_min = _sweep_n_min(l_prime, n_min, n_max, workers)
     ns = range(n_min, n_max + 1)
     totals = {n: (0, 0, []) for n in ns}
     branches = [(n, first) for n in ns for first in range(1, n - l_prime + 1)]

@@ -173,7 +173,8 @@ def is_complete_mapping(p: Permutation) -> bool:
 def _map_branches(fn: Callable, branches: Sequence, workers: int) -> Iterator:
     """Yield fn(branch) for each branch in order: in this process when
     workers or the number of branches is 1, else from W = min(workers,
-    len(branches)) worker processes.
+    len(branches)) worker processes.  Its callers check workers >= 1
+    before any work.
 
     Worker k is started (forked, on Linux) with its fixed share, branches
     k, k + W, k + 2W, ..., runs them in turn, sends each result down its own
@@ -186,8 +187,6 @@ def _map_branches(fn: Callable, branches: Sequence, workers: int) -> Iterator:
     closing it stops the branches still in flight instead of waiting for
     them, and no worker can leave it waiting.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     processes = min(workers, len(branches))
     if processes <= 1:
         yield from map(fn, branches)

@@ -154,8 +154,6 @@ def _exists_at_n(
         raise ValueError(f"target girth must be 6 or 8, got {target_girth}")
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
-    if target_girth == 6 and n < l:
-        return None, nodes_in  # a girth-6 row holds L distinct residues
     if target_girth == 8 and j >= 3 and n <= 2 * (l - 1):
         # rows 2 and 3 of a canonical girth-8 matrix need 2(L-1) distinct
         # nonzero residues; two-row matrices escape this bound
@@ -404,7 +402,7 @@ def min_lifting_factor(
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     nodes = 0
-    for n in range(1, n_max + 1):  # the step's pre-checks pass over small N
+    for n in range(1, n_max + 1):  # small N end at 0 nodes in the step
         witness, nodes = _exists_at_n(j, l, n, target_girth, budget, nodes)
         if witness is not None:
             return SearchResult(min_n=n, witness=witness, nodes=nodes)

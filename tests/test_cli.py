@@ -380,6 +380,27 @@ def test_verify_pairwise_budget(capsys):
     assert full == run(capsys, ["verify", "pairwise", "--n", "5"])[1]
 
 
+def test_verify_pairwise_rejects_a_negative_budget_before_the_census(
+    capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_complete_mappings",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, ["verify", "pairwise", "--n", "13",
+                                  "--budget", "-1"])
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "error: check budget must be >= 0, got -1\n"
+    )
+    assert calls == []
+
+
+def test_verify_pairwise_takes_no_workers():
+    # its census is a small share of the command, so it runs in-process
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "pairwise", "--n", "5", "--workers", "2"])
+    assert info.value.code == EXIT_USAGE
+
+
 def test_verify_pairwise_names_the_kept_witnesses(capsys, monkeypatch):
     # a census past the witness cap cannot feed the pair scan; the error
     # says how many witnesses were kept, since the command has no limit
@@ -491,11 +512,20 @@ def test_verify_girth8_conjecture_sweeps_only_below_the_bound(capsys, monkeypatc
      "workers must be >= 1"),
     (["mappings", "enumerate", "--n", "5", "--workers", "0"],
      "workers must be >= 1"),
+    (["verify", "girth8-bound", "--lprime", "3", "--n-max", "9", "--workers", "0"],
+     "workers must be >= 1, got 0"),
+    # no N of this range lies below the bound 8, so none is swept
+    (["verify", "girth8-conjecture", "--lprime", "3", "--n-min", "8",
+      "--n-max", "10", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["verify", "girth8-conjecture", "--lprime", "3", "--n-min", "8",
+      "--n-max", "10", "--workers", "-5"], "workers must be >= 1, got -5"),
 ], ids=["pairwise", "girth8-bound", "girth8-conjecture", "min-lift",
         "girth8-bound-n-min", "girth8-conjecture-n-min", "mappings-limit",
         "mappings-n", "pairwise-budget", "mappings-budget", "min-lift-budget",
         "min-lift-l-range", "min-lift-n-max", "mappings-workers-negative",
-        "mappings-workers-zero"])
+        "mappings-workers-zero", "girth8-bound-workers-zero",
+        "girth8-conjecture-above-bound-workers-zero",
+        "girth8-conjecture-above-bound-workers-negative"])
 def test_verify_rejects_bad_input_as_usage_error(capsys, argv, message):
     # exit 1 would claim a verified property was violated
     code, out, err = run(capsys, argv)

@@ -80,6 +80,11 @@ def test_table_rejects_modulus_below_1():
             Girth8Table(modulus=n, col_headers=(1, 2), row_headers=(3, 4))
 
 
+def test_table_rejects_headers_of_different_lengths():
+    with pytest.raises(ValueError, match="^header lengths differ$"):
+        Girth8Table(7, (1, 2), (3,))
+
+
 def test_all_zero_table_is_invalid():
     p = ShiftMatrix(entries=((0,) * 4, (0,) * 4, (0,) * 4), lifting_factor=9)
     verdict = validate_g8_table(build_g8_table(p))

@@ -193,6 +193,19 @@ def test_import_alist_rejects_malformed_text():
         assert import_alist(good + tail) == import_alist(good)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("2 1 7\n1 2\n1 1\n2\n1\n1\n1 2\n", 1, "expected 2 integers, got 3"),
+    ("0 1\n1 2\n\n2\n1 2\n", 1, "bad dimensions 0 x 1"),
+    ("2 1\n1 2\n1 1\n2\n1\n1\n1\n", 7, "row 0 lists 1 columns, degree says 2"),
+    ("2 1\n1 2\n1 1\n2\n1\n1\n1 3\n", 7, "column index 3 out of range"),
+], ids=["dimension-count", "dimension-zero", "row-degree", "column-index"])
+def test_import_alist_names_the_line_it_rejects(text, line, message):
+    with pytest.raises(AlistParseError) as info:
+        import_alist(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_import_alist_sorts_lists_in_any_order():
     # the import sorts each row, so shuffled lists (zero padding included)
     # give the same matrix and the canonical export

@@ -7,6 +7,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -500,8 +501,26 @@ def _failing_branch(k):
 def test_map_branches_raises_a_worker_exception_at_its_turn():
     results = _map_branches(_failing_branch, range(4), 2)
     assert [next(results), next(results)] == [0, 1]
-    with pytest.raises(ValueError, match="branch 2 failed"):
+    with pytest.raises(ValueError, match="branch 2 failed") as info:
         next(results)
+    # the worker's traceback does not pickle, so it comes back as a note
+    (note,) = info.value.__notes__
+    assert note.startswith("raised in the worker of branch 2:\nTraceback")
+    assert "in _failing_branch" in note
+
+
+def _lock_branch(k):
+    return threading.Lock() if k == 2 else k
+
+
+def test_map_branches_raises_for_a_result_that_does_not_pickle():
+    results = _map_branches(_lock_branch, range(4), 2)
+    assert [next(results), next(results)] == [0, 1]
+    with pytest.raises(RuntimeError) as info:
+        next(results)
+    assert str(info.value) == (
+        "branch 2: TypeError(\"cannot pickle '_thread.lock' object\")"
+    )
 
 
 def _run_in_own_group(script, seconds):
