@@ -11,6 +11,11 @@ The census backtracks over p(1), p(2), ... when it keeps witnesses.  A
 count alone does not walk the tree: the subtree below a prefix depends
 only on the images and the differences the prefix has used, so the count
 propagates the number of prefixes per such state, one position at a time.
+It keeps one state per rotation class.  Adding t to every used image and
+every used difference maps the valid extensions of a state one to one
+onto those of the turned state, image v onto v + t, and each child onto
+the turned child; so, by induction on the positions left, the two states
+have equal nodes at every depth and an equal count.
 
 The mate scan computes no differences: rows a and b are complete mappings
 of each other exactly when b o a^-1 is a complete mapping, so against a
@@ -327,46 +332,92 @@ def _count_by_states(
     The nodes of a branch at depth k are its valid prefixes of length k:
     no image and no difference repeats.  Which images may extend a valid
     prefix, and the state of each extension, depend only on the prefix's
-    state: its used images and its used differences rotated up to the next
-    position (the forbid mask of _enumerate_branch), packed as
-    used << n | forbid.  A layer maps each state to its multiplicity, the
-    weighted number of valid prefixes that reach it.  A child state then
-    receives the sum of its parents' multiplicities over the images that
-    lead to it, which is again that number.  So the multiplicities of a
-    layer sum to the weighted nodes at its depth.  The last layer, with
-    position N - 1 placed, is the single state with every image and
-    difference used, and its multiplicity is the count.  A searched branch
-    weighs 2, for itself and its mirror (enumerate_complete_mappings proves
-    the two equal depth by depth), except the self-mirrored 2v = 1 mod N;
-    the prefix (0,) of N = 1 weighs 1.  nodes is checked once per parent,
-    so a layer never holds more than max_nodes + N states.
+    state: its used images U and its used differences rotated up to the
+    next position, the forbid mask F of _enumerate_branch.  Image v extends
+    (U, F) iff v is in neither, and leads to (U | {v}, (F | {v}) rotated
+    up by one).
+
+    A layer keeps one state per rotation class.  Turning a state by t adds
+    t to every element of U and of F.  Then v extends (U, F) iff v + t
+    extends (U + t, F + t), and the child it leads to, turned by t, is the
+    child that v + t leads to, at the same position.  By induction on the
+    positions left, the valid extensions of the two states correspond one
+    to one at every depth, so they have equal nodes below them and an equal
+    count.  The key of a class is U turned to its least rotation, packed
+    above F turned by the same amount: used << n | forbid.  A set U that
+    several turns bring to its least rotation is periodic, which happens
+    only at composite N or for the full set; then F takes the least of
+    those turns, so that every state of the class gets the same key (any
+    one turn would keep the count exact, but merge less).
+
+    A layer maps each class to its multiplicity, the weighted number of
+    valid prefixes whose state lies in it.  A child class receives the sum
+    of its parents' multiplicities over the images that lead into it,
+    which is again that number.  So the multiplicities of a layer sum to
+    the weighted nodes at its depth.  The last layer, with position N - 1
+    placed, is the single state with every image and difference used, and
+    its multiplicity is the count.  A searched branch weighs 2, for itself
+    and its mirror (enumerate_complete_mappings proves the two equal depth
+    by depth), except the self-mirrored 2v = 1 mod N; the prefix (0,) of
+    N = 1 weighs 1.  nodes is checked once per parent, so a layer never
+    holds more than max_nodes + N states.
     """
     full = (1 << n) - 1
     last = n - 1
     pos = len(prefixes[0]) if prefixes else n
+    # used images -> (least rotation << n, shift): a unique turn t to the
+    # least rotation gives shift = N - 1 - t, so that the doubled mask
+    # g | g << n shifted down by it is g rotated up by t + 1, the step's own
+    # rotation and the turn at once; a periodic set has shift None
+    turns: dict[int, tuple[int, Optional[int]]] = {}
+
+    def rotate(x: int, t: int) -> int:
+        return ((x | x << n) >> (n - t)) & full
+
+    def class_key(used: int, g: int) -> int:
+        """Key of the class of (used, g rotated up by one)."""
+        if used not in turns:
+            rotations = [rotate(used, t) for t in range(n)]
+            least = min(rotations)
+            unique = rotations.count(least) == 1
+            turns[used] = (least << n, last - rotations.index(least) if unique else None)
+        high, shift = turns[used]
+        if shift is not None:
+            return high | ((g | g << n) >> shift) & full
+        ts = [t for t in range(n) if rotate(used, t) << n == high]
+        return high | min([rotate(g, t + 1) for t in ts])
+
     layer: dict[int, int] = {}
     for prefix in prefixes:
         used = sum(1 << x for x in prefix)
-        forbid = sum(1 << ((x - i + pos) % n) for i, x in enumerate(prefix))
-        layer[used << n | forbid] = 1 if (2 * prefix[-1] - 1) % n == 0 else 2
+        # the forbid mask at pos before its rotation up by one
+        g = sum(1 << ((x - i + pos - 1) % n) for i, x in enumerate(prefix))
+        key = class_key(used, g)
+        layer[key] = layer.get(key, 0) + (1 if (2 * prefix[-1] - 1) % n == 0 else 2)
     nodes = sum(layer.values())
     budget = math.inf if max_nodes is None else max_nodes
     if nodes > budget:
         return None
+    get_turn = turns.get
     for _ in range(pos, n):
         children: dict[int, int] = {}
         get = children.get
         for key, mult in layer.items():
             forbid = key & full
-            high = key ^ forbid
-            avail = full & ~(key | key >> n)
+            used = key >> n
+            avail = full & ~(used | forbid)
             nodes += mult * avail.bit_count()
             while avail:
                 bit = avail & -avail
                 avail ^= bit
                 # as in _enumerate_branch: bit's difference is used now
-                f = forbid | bit
-                child = high | bit << n | ((f << 1) & full) | (f >> last)
+                u = used | bit
+                g = forbid | bit
+                turn = get_turn(u)
+                if turn is None or turn[1] is None:
+                    child = class_key(u, g)
+                else:  # class_key's common case, inlined
+                    child = turn[0] | ((g | g << n) >> turn[1]) & full
                 children[child] = get(child, 0) + mult
             if nodes > budget:
                 return None

@@ -9,10 +9,11 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgirth import mappings
@@ -446,11 +447,14 @@ def test_census_worker_fanout_is_deterministic():
 
 def test_census_leaves_no_reference_cycle():
     # a cycle through the census kernel would keep its witness list alive
-    # until the cycle collector next runs
+    # until the cycle collector next runs, and one through the count's
+    # helpers its per-call cache of rotations
     gc.collect()
     gc.disable()
     try:
         assert enumerate_complete_mappings(9).count == 225
+        assert gc.collect() == 0
+        assert enumerate_complete_mappings(9, limit=0).count == 225
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -655,6 +659,46 @@ def test_count_path_neither_backtracks_nor_starts_processes(monkeypatch):
     monkeypatch.setattr(mappings, "_start_worker", _no_backtracking)
     census = enumerate_complete_mappings(15, limit=0, workers=2)
     assert (census.count, census.nodes) == (2424195, 68644968)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([7, 9, 11, 13]), st.data())
+def test_turning_a_prefix_keeps_its_subtree(n, data):
+    # the lemma the count's rotation classes rest on, against the
+    # backtracking kernel: adding t to every image of a valid prefix keeps
+    # the count and the nodes below it.  The prefix is drawn image by
+    # image among those that keep it valid; it is at least N - 10 long so
+    # that the kernel runs in milliseconds.
+    depth = data.draw(st.integers(max(1, n - 10), n), label="depth")
+    prefix, used_images, used_diffs = [], set(), set()
+    while len(prefix) < depth:
+        pos = len(prefix)
+        avail = [
+            v for v in range(n) if v not in used_images and (v - pos) % n not in used_diffs
+        ]
+        if not avail:
+            break
+        v = data.draw(st.sampled_from(avail), label=f"p({pos})")
+        prefix.append(v)
+        used_images.add(v)
+        used_diffs.add((v - pos) % n)
+    want = _enumerate_branch(n, 0, None, tuple(prefix))
+    for t in range(1, n):
+        turned = tuple((v + t) % n for v in prefix)
+        assert _enumerate_branch(n, 0, None, turned) == want, (prefix, t)
+
+
+def test_count_path_keeps_one_state_per_rotation_class():
+    # a memory gate: layers that keep every state separately peak at about
+    # 4.6 MB here, and one state per rotation class at about 1.9 MB
+    tracemalloc.start()
+    try:
+        census = enumerate_complete_mappings(13, limit=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (census.count, census.nodes) == (79259, 1617610)
+    assert peak < 3 * 2**20, f"N=13 count peaked at {peak / 2**20:.2f} MB"
 
 
 def test_count_path_budget_stops_early_with_exact_partial():
